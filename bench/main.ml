@@ -65,7 +65,7 @@ module Record = struct
     mutable groups : (string * (string * (string * float) list) list) list;
         (* nested numeric sections, reversed at both levels:
            section -> group -> fields, e.g.
-           "per_shard" -> "0" -> [("p99_ms", ...)] (schema v5) *)
+           "mixed_by_kind" -> "join" -> [("p99_ms", ...)] (schema v5) *)
   }
 
   let table : (string, entry) Hashtbl.t = Hashtbl.create 32
@@ -130,8 +130,8 @@ module Record = struct
     | None -> ()
     | Some e -> e.micro <- (op, row) :: List.remove_assoc op e.micro
 
-  (* One group of a nested section, e.g. the serve target's per-shard
-     latencies ("per_shard" -> shard id -> fields) or its open-loop rate
+  (* One group of a nested section, e.g. the serve target's per-kind
+     latencies ("mixed_by_kind" -> kind -> fields) or its open-loop rate
      sweep ("open_loop_by_rate" -> offered rate -> fields). *)
   let note_group ~section ~group fields =
     match !current with
@@ -163,7 +163,7 @@ module Record = struct
     let targets = List.rev !order in
     let buf = Buffer.create 4096 in
     Buffer.add_string buf "{\n";
-    Buffer.add_string buf "  \"schema_version\": 7,\n";
+    Buffer.add_string buf "  \"schema_version\": 8,\n";
     Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" !jobs);
     Buffer.add_string buf "  \"targets\": {\n";
     List.iteri
@@ -958,24 +958,25 @@ let bench_catalog () =
 (* Serve: the network serving layer under closed-loop load             *)
 (* ------------------------------------------------------------------ *)
 
-(* Exercises the full network path, single-shard and sharded: ANALYZE
-   three headline files into a temp catalog, then for shards = 1 and
-   shards = 4 serve it on a Unix-domain socket, drive a 32-connection
-   closed-loop load generator (single estimates, then batched frames),
-   and drain.  The sharded pass adds per-shard p99 (classifying each
-   request by its owner shard client-side) and an open-loop arrival-rate
-   sweep with drop/late accounting.  Every served answer — both shard
-   counts, both loop disciplines aside — is checked bit-identical to a
-   direct Catalog.Service.answer call computed from the flat snapshot
-   directory BEFORE the sharded pass migrates its layout.
-   BENCH_results.json gets per-shard-count throughput and
-   percentiles, a "per_shard" section, and an "open_loop_by_rate"
-   section; the adaptive drift timeline that completes schema v5 is the
-   separate --drift target below. *)
+(* Exercises the full network path: ANALYZE three headline files into a
+   temp catalog, add one rect entry (the street-grid joint file) and one
+   join entry (n(20) x u(20)), serve it on a Unix-domain socket, and
+   drive it with a 32-connection closed-loop load generator over the
+   range entries (single estimates, then batch=16 frames), an open-loop
+   arrival-rate sweep with drop/late accounting, and a mixed-kind closed
+   loop over all three kinds; then drain.  Every closed-loop answer is
+   checked bit-identical to the direct Catalog.Service call of its kind.
+   Per-kind MRE is scored against the exact oracles:
+   Data.Dataset.exact_selectivity for range,
+   Multidim.Dataset2d.exact_selectivity for rect, and
+   Join.Ineqjoin.exact_inequality_size for join.  BENCH_results.json
+   gets closed-loop throughput and percentiles, an "open_loop_by_rate"
+   section and a "mixed_by_kind" section; the adaptive drift timeline is
+   the separate --drift target below. *)
 let bench_serve () =
-  header "serve: network serving layer (wire protocol, shards, closed- and open-loop load)";
+  header "serve: network serving layer (wire protocol, closed- and open-loop load, mixed kinds)";
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "selest_bench_serve" in
-  (* A previous run may have left either layout behind. *)
+  (* A previous run may have left snapshots (or a legacy layout) behind. *)
   let rec clean d =
     if Sys.file_exists d then begin
       Array.iter
@@ -990,12 +991,12 @@ let bench_serve () =
     end
   in
   clean dir;
-  let svc, _ = Cat.open_dir dir in
+  let service, _ = Cat.open_dir dir in
   List.iter
     (fun (file, spec) ->
       let ds = dataset file in
       match
-        Cat.build svc ~name:(file ^ "/" ^ spec) ~spec ~domain:(E.domain_of ds)
+        Cat.build service ~name:(file ^ "/" ^ spec) ~spec ~domain:(E.domain_of ds)
           ~sample:(sample ds)
       with
       | Ok _ -> ()
@@ -1003,20 +1004,37 @@ let bench_serve () =
     (List.concat_map
        (fun file -> List.map (fun spec -> (file, spec)) [ "ewh"; "kernel" ])
        [ "u(20)"; "n(20)"; "e(20)" ]);
+  let street =
+    Multidim.Generate2d.street_grid ~name:"street" ~bits:16 ~count:50_000 ~seed:data_seed
+  in
+  let dom16 = (-0.5, 65535.5) in
+  (match
+     Cat.build_rect service ~name:"street/hist2d" ~spec:"hist2d:64" ~domain_x:dom16
+       ~domain_y:dom16
+       ~points:
+         (Multidim.Dataset2d.sample_without_replacement street
+            (Prng.Xoshiro256pp.create sample_seed)
+            ~n:2000)
+   with
+  | Ok _ -> ()
+  | Error msg -> failwith ("serve: build rect: " ^ msg));
+  let join_r = dataset "n(20)" and join_s = dataset "u(20)" in
+  (match
+     Cat.build_join service ~name:"n(20)_join_u(20)/edh" ~spec:"edh:64"
+       ~domain:(E.domain_of join_r) ~n_r:(Data.Dataset.size join_r)
+       ~n_s:(Data.Dataset.size join_s)
+       ~sample_r:(E.sample_of join_r ~seed:sample_seed ~n:2000)
+       ~sample_s:(E.sample_of join_s ~seed:(Int64.add sample_seed 1L) ~n:2000)
+   with
+  | Ok _ -> ()
+  | Error msg -> failwith ("serve: build join: " ^ msg));
   let address =
     Server.Wire.Unix_socket (Filename.concat (Filename.get_temp_dir_name ()) "selest_bench_serve.sock")
   in
-  let config = { Server.Engine.default_config with Server.Engine.jobs = !jobs } in
   let connections = 32 in
-  (* One serving pass at a given shard count: closed-loop singles,
-     closed-loop batch=16 frames, optionally classified per shard,
-     optionally an open-loop rate sweep.  Returns the reports. *)
-  let serve_pass ~shards ~classify ~open_rates requests_of_entries =
-    let services, skipped = Cat.open_sharded ~shards dir in
-    if skipped <> [] then
-      failwith (Printf.sprintf "serve: %d snapshots skipped on open" (List.length skipped));
-    let engine = Server.Engine.create ~config ~services address in
-    let server_thread = Thread.create Server.Engine.serve engine in
+  let engine = Server.Engine.create ~service address in
+  let server_thread = Thread.create Server.Engine.serve engine in
+  let requests, report, batched, open_reports, mixed, mreport =
     Fun.protect
       ~finally:(fun () ->
         Server.Engine.initiate_drain engine;
@@ -1034,34 +1052,30 @@ let bench_serve () =
             Server.Client.close client;
             entries
         in
-        let requests = requests_of_entries entries in
-        let report = Server.Loadgen.run ?classify ~connections ~address requests in
+        let range_entries =
+          List.filter
+            (fun (e : Server.Wire.entry_info) -> e.kind = Selest.Stored.Range_kind)
+            entries
+        in
+        let requests =
+          Server.Loadgen.synthetic_requests ~entries:range_entries ~count:6400 ~seed:2024L
+        in
+        let report = Server.Loadgen.run ~connections ~address requests in
         let batched = Server.Loadgen.run ~batch:16 ~connections ~address requests in
         let open_reports =
           List.map
             (fun rate ->
               (rate, Server.Loadgen.run_open_loop ~max_clients:64 ~rate ~duration_s:0.5
                        ~address requests))
-            open_rates
+            [ 1000.0; 4000.0; 16000.0 ]
         in
-        (requests, report, batched, open_reports, Server.Engine.stats engine))
+        let mixed = Server.Loadgen.synthetic_mixed_requests ~entries ~count:4800 ~seed:2025L in
+        let mreport = Server.Loadgen.run_mixed ~connections ~address mixed in
+        (requests, report, batched, open_reports, mixed, mreport))
   in
-  let requests_memo = ref None in
-  let requests_of_entries entries =
-    match !requests_memo with
-    | Some reqs -> reqs
-    | None ->
-      let reqs = Server.Loadgen.synthetic_requests ~entries ~count:6400 ~seed:2024L in
-      requests_memo := Some reqs;
-      reqs
-  in
-  (* Pass 1: shards = 1, the pre-sharding engine path, on the flat v1
-     layout. *)
-  let requests, report1, batched1, _, stats1 =
-    serve_pass ~shards:1 ~classify:None ~open_rates:[] requests_of_entries
-  in
-  (* The reference answers MUST come from the flat layout, before the
-     sharded pass migrates the directory. *)
+  let stats = Server.Engine.stats engine in
+  (* Bit-identity per request against a fresh service over the same
+     snapshots. *)
   let direct, _ = Cat.open_dir dir in
   let expected = Cat.answer direct requests in
   let check_identity label (r : Server.Loadgen.report) =
@@ -1077,166 +1091,16 @@ let bench_serve () =
         (Printf.sprintf "serve (%s): %d served answers diverge from direct calls" label
            !mismatches)
   in
-  check_identity "shards=1 singles" report1;
-  check_identity "shards=1 batch=16" batched1;
-  (* Pass 2: shards = 4 — layout migrates in place; requests classified
-     by owner shard for per-shard percentiles; open-loop rate sweep. *)
-  let shards = 4 in
-  let classify i =
-    let name, _, _ = requests.(i) in
-    Printf.sprintf "shard-%d" (Cat.shard_of_name ~shards name)
-  in
-  let open_rates = [ 1000.0; 4000.0; 16000.0 ] in
-  let _, report4, batched4, open_reports, stats4 =
-    serve_pass ~shards ~classify:(Some classify) ~open_rates requests_of_entries
-  in
-  check_identity "shards=4 singles" report4;
-  check_identity "shards=4 batch=16" batched4;
-  (* Record: closed-loop throughput and percentiles at both shard
-     counts, per-shard latency groups, the open-loop sweep. *)
-  Record.note_queries ~queries:report1.Server.Loadgen.queries
-    ~query_s:report1.Server.Loadgen.wall_s;
-  Record.note_extra ~key:"connections" (float_of_int connections);
-  Record.note_extra ~key:"shards" (float_of_int shards);
-  Record.note_extra ~key:"p50_ms" report1.Server.Loadgen.p50_ms;
-  Record.note_extra ~key:"p95_ms" report1.Server.Loadgen.p95_ms;
-  Record.note_extra ~key:"p99_ms" report1.Server.Loadgen.p99_ms;
-  Record.note_extra ~key:"batched_throughput_qps" batched1.Server.Loadgen.throughput_qps;
-  Record.note_extra ~key:"sharded_throughput_qps" report4.Server.Loadgen.throughput_qps;
-  Record.note_extra ~key:"sharded_p99_ms" report4.Server.Loadgen.p99_ms;
-  Record.note_extra ~key:"sharded_batched_throughput_qps"
-    batched4.Server.Loadgen.throughput_qps;
-  Record.note_extra ~key:"errors_total"
-    (float_of_int
-       (List.fold_left
-          (fun n (_, c) -> n + c)
-          0
-          (report1.Server.Loadgen.errors @ batched1.Server.Loadgen.errors
-          @ report4.Server.Loadgen.errors @ batched4.Server.Loadgen.errors)));
-  List.iter
-    (fun (cls, n) -> Record.note_extra ~key:("errors_" ^ cls) (float_of_int n))
-    report1.Server.Loadgen.errors;
-  Record.note_extra ~key:"batches" (float_of_int stats1.Server.Engine.batches);
-  Record.note_extra ~key:"batched_queries"
-    (float_of_int stats1.Server.Engine.batched_queries);
-  List.iter
-    (fun (cls, g) ->
-      (* "shard-2" -> group "2" *)
-      let id = String.sub cls 6 (String.length cls - 6) in
-      let answered =
-        match int_of_string_opt id with
-        | Some i when i < Array.length stats4.Server.Engine.per_shard ->
-          float_of_int stats4.Server.Engine.per_shard.(i).Server.Engine.shard_answered
-        | _ -> Float.nan
-      in
-      Record.note_group ~section:"per_shard" ~group:id
-        [
-          ("queries", float_of_int g.Server.Loadgen.g_n);
-          ("answered", answered);
-          ("p50_ms", g.Server.Loadgen.g_p50_ms);
-          ("p99_ms", g.Server.Loadgen.g_p99_ms);
-        ])
-    report4.Server.Loadgen.groups;
-  List.iter
-    (fun (rate, (r : Server.Loadgen.open_report)) ->
-      Record.note_group ~section:"open_loop_by_rate" ~group:(Printf.sprintf "%.0f" rate)
-        [
-          ("offered", float_of_int r.Server.Loadgen.offered);
-          ("sent", float_of_int r.Server.Loadgen.sent);
-          ("dropped", float_of_int r.Server.Loadgen.dropped);
-          ("late", float_of_int r.Server.Loadgen.late);
-          ("achieved_qps", r.Server.Loadgen.achieved_qps);
-          ("p50_ms", r.Server.Loadgen.o_p50_ms);
-          ("p99_ms", r.Server.Loadgen.o_p99_ms);
-        ])
-    open_reports;
-  Printf.printf "shards=1 single estimates:\n%s\n" (Server.Loadgen.report_to_string report1);
-  Printf.printf "shards=1 batch=16 frames:\n%s\n" (Server.Loadgen.report_to_string batched1);
-  Printf.printf "shards=%d single estimates (per-shard classes):\n%s\n" shards
-    (Server.Loadgen.report_to_string report4);
-  Printf.printf "shards=%d batch=16 frames:\n%s\n" shards
-    (Server.Loadgen.report_to_string batched4);
-  List.iter
-    (fun (rate, r) ->
-      Printf.printf "shards=%d open loop @ %.0f/s:\n%s\n" shards rate
-        (Server.Loadgen.open_report_to_string r))
-    open_reports;
-  Printf.printf
-    "server: shards=1 %d requests, shards=%d %d requests (%d batches, %d queries merged), \
-     all bit-identical to direct answers (jobs %d)\n"
-    stats1.Server.Engine.requests shards stats4.Server.Engine.requests
-    stats4.Server.Engine.batches stats4.Server.Engine.batched_queries !jobs;
-  (* Pass 3: mixed kinds.  Add one rect entry (the street-grid joint
-     file) and one join entry (n(20) x u(20)) to the now-sharded catalog
-     through their owner shards, serve all three kinds at shards = 4,
-     and gate every served answer bit-identical to the direct
-     Catalog.Service call.  Per-kind MRE is scored against the exact
-     oracles: Data.Dataset.exact_selectivity for range,
-     Multidim.Dataset2d.exact_selectivity for rect, and
-     Join.Ineqjoin.exact_inequality_size for join. *)
-  header "serve: mixed-kind pass (range + rect + join entries, shards=4)";
-  let services, skipped = Cat.open_sharded ~shards dir in
-  if skipped <> [] then
-    failwith (Printf.sprintf "serve mixed: %d snapshots skipped on open" (List.length skipped));
-  let owner name = services.(Cat.shard_of_name ~shards name) in
-  let street =
-    Multidim.Generate2d.street_grid ~name:"street" ~bits:16 ~count:50_000 ~seed:data_seed
-  in
-  let rect_name = "street/hist2d" in
-  let dom16 = (-0.5, 65535.5) in
-  (match
-     Cat.build_rect (owner rect_name) ~name:rect_name ~spec:"hist2d:64" ~domain_x:dom16
-       ~domain_y:dom16
-       ~points:
-         (Multidim.Dataset2d.sample_without_replacement street
-            (Prng.Xoshiro256pp.create sample_seed)
-            ~n:2000)
-   with
-  | Ok _ -> ()
-  | Error msg -> failwith ("serve mixed: build rect: " ^ msg));
-  let join_r = dataset "n(20)" and join_s = dataset "u(20)" in
-  let join_name = "n(20)_join_u(20)/edh" in
-  (match
-     Cat.build_join (owner join_name) ~name:join_name ~spec:"edh:64"
-       ~domain:(E.domain_of join_r) ~n_r:(Data.Dataset.size join_r)
-       ~n_s:(Data.Dataset.size join_s)
-       ~sample_r:(E.sample_of join_r ~seed:sample_seed ~n:2000)
-       ~sample_s:(E.sample_of join_s ~seed:(Int64.add sample_seed 1L) ~n:2000)
-   with
-  | Ok _ -> ()
-  | Error msg -> failwith ("serve mixed: build join: " ^ msg));
-  let engine = Server.Engine.create ~config ~services address in
-  let server_thread = Thread.create Server.Engine.serve engine in
-  let mixed, mreport =
-    Fun.protect
-      ~finally:(fun () ->
-        Server.Engine.initiate_drain engine;
-        Thread.join server_thread)
-      (fun () ->
-        let entries =
-          match Server.Client.connect address with
-          | Error e -> failwith ("serve mixed: connect: " ^ Server.Client.error_to_string e)
-          | Ok client ->
-            let entries =
-              match Server.Client.ls client with
-              | Ok entries -> entries
-              | Error e -> failwith ("serve mixed: ls: " ^ Server.Client.error_to_string e)
-            in
-            Server.Client.close client;
-            entries
-        in
-        let mixed = Server.Loadgen.synthetic_mixed_requests ~entries ~count:4800 ~seed:2025L in
-        (mixed, Server.Loadgen.run_mixed ~connections ~address mixed))
-  in
-  (* Bit-identity per request against the same services the engine used. *)
+  check_identity "singles" report;
+  check_identity "batch=16" batched;
   let direct_of req =
     match req with
-    | Server.Loadgen.Mix_range (name, a, b) -> Cat.answer_one (owner name) ~name ~a ~b
+    | Server.Loadgen.Mix_range (name, a, b) -> Cat.answer_one direct ~name ~a ~b
     | Server.Loadgen.Mix_rect { m_entry; m_x_lo; m_x_hi; m_y_lo; m_y_hi } ->
-      Cat.answer_rect (owner m_entry) ~name:m_entry ~x_lo:m_x_lo ~x_hi:m_x_hi ~y_lo:m_y_lo
+      Cat.answer_rect direct ~name:m_entry ~x_lo:m_x_lo ~x_hi:m_x_hi ~y_lo:m_y_lo
         ~y_hi:m_y_hi
     | Server.Loadgen.Mix_join { m_entry; m_pred } ->
-      Cat.answer_join (owner m_entry) ~name:m_entry ~pred:m_pred
+      Cat.answer_join direct ~name:m_entry ~pred:m_pred
   in
   let mismatches = ref 0 in
   Array.iteri
@@ -1250,8 +1114,40 @@ let bench_serve () =
   if !mismatches > 0 then
     failwith
       (Printf.sprintf "serve mixed: %d served answers diverge from direct calls" !mismatches);
-  (* Per-kind accuracy against the exact oracles.  Relative error needs
-     truth > 0; zero-truth queries are skipped (and counted). *)
+  (* Record: closed-loop throughput and percentiles, the open-loop
+     sweep, per-kind throughput and accuracy. *)
+  Record.note_queries ~queries:report.Server.Loadgen.queries
+    ~query_s:report.Server.Loadgen.wall_s;
+  Record.note_extra ~key:"connections" (float_of_int connections);
+  Record.note_extra ~key:"p50_ms" report.Server.Loadgen.p50_ms;
+  Record.note_extra ~key:"p95_ms" report.Server.Loadgen.p95_ms;
+  Record.note_extra ~key:"p99_ms" report.Server.Loadgen.p99_ms;
+  Record.note_extra ~key:"batched_throughput_qps" batched.Server.Loadgen.throughput_qps;
+  Record.note_extra ~key:"errors_total"
+    (float_of_int
+       (List.fold_left
+          (fun n (_, c) -> n + c)
+          0
+          (report.Server.Loadgen.errors @ batched.Server.Loadgen.errors
+          @ mreport.Server.Loadgen.errors)));
+  List.iter
+    (fun (cls, n) -> Record.note_extra ~key:("errors_" ^ cls) (float_of_int n))
+    report.Server.Loadgen.errors;
+  Record.note_extra ~key:"batches" (float_of_int stats.Server.Engine.batches);
+  Record.note_extra ~key:"batched_queries" (float_of_int stats.Server.Engine.batched_queries);
+  List.iter
+    (fun (rate, (r : Server.Loadgen.open_report)) ->
+      Record.note_group ~section:"open_loop_by_rate" ~group:(Printf.sprintf "%.0f" rate)
+        [
+          ("offered", float_of_int r.Server.Loadgen.offered);
+          ("sent", float_of_int r.Server.Loadgen.sent);
+          ("dropped", float_of_int r.Server.Loadgen.dropped);
+          ("late", float_of_int r.Server.Loadgen.late);
+          ("achieved_qps", r.Server.Loadgen.achieved_qps);
+          ("p50_ms", r.Server.Loadgen.o_p50_ms);
+          ("p99_ms", r.Server.Loadgen.o_p99_ms);
+        ])
+    open_reports;
   let truth_of req =
     match req with
     | Server.Loadgen.Mix_range (name, a, b) ->
@@ -1263,6 +1159,7 @@ let bench_serve () =
     | Server.Loadgen.Mix_join { m_pred; _ } ->
       float_of_int (Join.Ineqjoin.exact_inequality_size join_r join_s ~pred:m_pred)
   in
+  (* Relative error needs truth > 0; zero-truth queries are skipped. *)
   let mre_of_kind kind =
     let sum = ref 0.0 and n = ref 0 in
     Array.iteri
@@ -1289,7 +1186,13 @@ let bench_serve () =
           ("p99_ms", g.Server.Loadgen.g_p99_ms);
         ])
     mreport.Server.Loadgen.groups;
-  Printf.printf "shards=%d mixed kinds (range/rect/join classes):\n%s\n" shards
+  Printf.printf "single estimates:\n%s\n" (Server.Loadgen.report_to_string report);
+  Printf.printf "batch=16 frames:\n%s\n" (Server.Loadgen.report_to_string batched);
+  List.iter
+    (fun (rate, r) ->
+      Printf.printf "open loop @ %.0f/s:\n%s\n" rate (Server.Loadgen.open_report_to_string r))
+    open_reports;
+  Printf.printf "mixed kinds (range/rect/join classes):\n%s\n"
     (Server.Loadgen.report_to_string mreport);
   List.iter
     (fun (kind, (g : Server.Loadgen.group)) ->
@@ -1298,9 +1201,10 @@ let bench_serve () =
         g.Server.Loadgen.g_p99_ms)
     mreport.Server.Loadgen.groups;
   Printf.printf
-    "server: mixed pass %d requests over %d kinds, all bit-identical to direct calls\n"
-    (Array.length mixed)
-    (List.length mreport.Server.Loadgen.groups)
+    "server: %d requests (%d batches, %d queries), every closed-loop answer bit-identical \
+     to direct calls\n"
+    stats.Server.Engine.requests stats.Server.Engine.batches
+    stats.Server.Engine.batched_queries
 
 (* ------------------------------------------------------------------ *)
 (* Drift: adaptive serving under a shifting distribution               *)
@@ -1365,7 +1269,6 @@ let bench_drift () =
     Server.Wire.Unix_socket
       (Filename.concat (Filename.get_temp_dir_name ()) "selest_bench_drift.sock")
   in
-  let engine_config = { Server.Engine.default_config with Server.Engine.jobs = !jobs } in
   let rebuild_after = 400 in
   let inserts_per_window = 600 and observes_per_window = 64 in
   let ok_or_die what = function
@@ -1390,23 +1293,19 @@ let bench_drift () =
     !rel_sum /. float_of_int !evaluated
   in
   let run_pass ~adaptive =
-    let services, skipped =
-      Cat.open_sharded
+    let service, skipped =
+      Cat.open_dir
         ~config:{ Cat.default_config with Cat.rebuild_after_inserts = rebuild_after }
-        ~shards:1 dir
+        dir
     in
     if skipped <> [] then
       failwith (Printf.sprintf "drift: %d snapshots skipped on open" (List.length skipped));
     if adaptive then
-      Array.iter
-        (Cat.enable_adaptive
-           ~config:
-             {
-               Cat.default_adaptive_config with
-               Cat.refresh_after_observes = observes_per_window;
-             })
-        services;
-    let engine = Server.Engine.create ~config:engine_config ~services address in
+      Cat.enable_adaptive
+        ~config:
+          { Cat.default_adaptive_config with Cat.refresh_after_observes = observes_per_window }
+        service;
+    let engine = Server.Engine.create ~service address in
     let server_thread = Thread.create Server.Engine.serve engine in
     Fun.protect
       ~finally:(fun () ->

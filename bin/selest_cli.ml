@@ -534,42 +534,6 @@ let open_catalog ?config dir =
     svc
   | exception (Invalid_argument msg | Sys_error msg) -> or_die (Error msg)
 
-let open_sharded_catalog ?config ~shards dir =
-  match Cat.open_sharded ?config ~shards dir with
-  | services, skipped ->
-    let skipped_counter =
-      Telemetry.Metrics.counter "catalog_snapshot_skipped_total"
-        ~labels:[ ("dir", Filename.basename dir) ]
-        ~help:"Snapshot files skipped on open: corrupt, or orphaned temp files swept"
-    in
-    List.iter
-      (fun (file, err) ->
-        Telemetry.Metrics.incr skipped_counter;
-        Printf.eprintf "selest: catalog: skipping snapshot %s: %s\n%!" file err)
-      skipped;
-    services
-  | exception (Invalid_argument msg | Sys_error msg) -> or_die (Error msg)
-
-(* A directory last served with --shards N holds shard-<i>/ subdirectories
-   (docs/SHARDING.md); read-side tooling must follow whichever layout is on
-   disk rather than assume flat. *)
-let detect_shards dir =
-  match Sys.readdir dir with
-  | names ->
-    Array.fold_left
-      (fun acc name ->
-        if
-          String.length name > 6
-          && String.sub name 0 6 = "shard-"
-          && Sys.is_directory (Filename.concat dir name)
-        then
-          match int_of_string_opt (String.sub name 6 (String.length name - 6)) with
-          | Some i when i >= 0 && name = Cat.shard_dir_name i -> max acc (i + 1)
-          | _ -> acc
-        else acc)
-      1 names
-  | exception Sys_error msg -> or_die (Error msg)
-
 let catalog_build_cmd =
   let kind_arg =
     Arg.(value & opt (enum [ ("range", `Range); ("rect", `Rect); ("join", `Join) ]) `Range
@@ -834,38 +798,21 @@ let address_of ~host ~socket ~port =
   | Some _, Some _ -> or_die (Error "pass either --socket or --port, not both")
 
 let serve_cmd =
-  let jobs_arg =
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Worker domains for merged catalog batches; answers are bit-identical \
-               for every value.")
-  in
-  let shards_arg =
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
-         ~doc:"Hash-partition the catalog into $(docv) shards, each with its own \
-               dispatcher domain, LRU, and snapshot subdirectory (the layout is \
-               migrated in place; answers are bit-identical for every value; \
-               docs/SHARDING.md).")
-  in
   let max_inflight_arg =
     Arg.(value & opt int Server.Engine.default_config.Server.Engine.max_inflight
          & info [ "max-inflight" ] ~docv:"N"
              ~doc:"Admission-control limit: at $(docv) requests in flight, new ones get \
                    an immediate typed `overloaded' reply.")
   in
-  let max_batch_arg =
-    Arg.(value & opt int Server.Engine.default_config.Server.Engine.max_batch
-         & info [ "max-batch" ] ~docv:"N"
-             ~doc:"Ceiling on range queries merged into one catalog batch.")
-  in
   let deadline_arg =
     Arg.(value & opt float Server.Engine.default_config.Server.Engine.deadline_s
          & info [ "deadline" ] ~docv:"SECONDS"
-             ~doc:"Requests queued longer than $(docv) get a typed `timeout' reply \
-                   (0 disables deadlines).")
+             ~doc:"Requests that waited longer than $(docv) for the catalog get a typed \
+                   `timeout' reply (0 disables deadlines).")
   in
   let adaptive_arg =
     Arg.(value & flag & info [ "adaptive" ]
-         ~doc:"Accept streaming inserts and query feedback: entries grow per-shard \
+         ~doc:"Accept streaming inserts and query feedback: entries grow \
                reservoir samples and ST-histograms, and stale summaries are rebuilt \
                in the background and swapped atomically (docs/ADAPTIVITY.md).")
   in
@@ -875,37 +822,27 @@ let serve_cmd =
              ~doc:"Insert budget before an entry goes stale — with $(b,--adaptive), the \
                    background-rebuild trigger (docs/ADAPTIVITY.md).")
   in
-  let run dir socket port host jobs shards max_inflight max_batch deadline_s adaptive
-      rebuild_after =
-    if jobs < 1 then or_die (Error "serve: --jobs must be >= 1");
-    if shards < 1 then or_die (Error "serve: --shards must be >= 1");
+  let run dir socket port host max_inflight deadline_s adaptive rebuild_after =
     if max_inflight < 0 then or_die (Error "serve: --max-inflight must be >= 0");
-    if max_batch < 1 then or_die (Error "serve: --max-batch must be >= 1");
     if rebuild_after < 1 then or_die (Error "serve: --rebuild-after must be >= 1");
     let address = address_of ~host ~socket ~port in
-    let services =
-      open_sharded_catalog
+    let service =
+      open_catalog
         ~config:{ Cat.default_config with Cat.rebuild_after_inserts = rebuild_after }
-        ~shards dir
+        dir
     in
-    if adaptive then Array.iter Cat.enable_adaptive services;
-    let config =
-      { Server.Engine.default_config with Server.Engine.jobs; max_inflight; max_batch; deadline_s }
-    in
+    if adaptive then Cat.enable_adaptive service;
+    let config = { Server.Engine.default_config with Server.Engine.max_inflight; deadline_s } in
     let engine =
-      try Server.Engine.create ~config ~services address
+      try Server.Engine.create ~config ~service address
       with Unix.Unix_error (e, fn, _) ->
         or_die (Error (Printf.sprintf "serve: %s: %s" fn (Unix.error_message e)))
     in
     Server.Engine.install_sigterm engine;
-    let entry_count =
-      Array.fold_left (fun n svc -> n + List.length (Cat.names svc)) 0 services
-    in
-    Printf.printf "serving %d entries from %s on %s across %d shard%s%s (SIGTERM drains)\n%!"
-      entry_count dir
+    Printf.printf "serving %d entries from %s on %s%s (SIGTERM drains)\n%!"
+      (List.length (Cat.names service))
+      dir
       (Server.Wire.address_to_string (Server.Engine.address engine))
-      shards
-      (if shards = 1 then "" else "s")
       (if adaptive then ", adaptive" else "");
     Server.Engine.serve engine;
     let s = Server.Engine.stats engine in
@@ -915,27 +852,17 @@ let serve_cmd =
       s.Server.Engine.connections s.Server.Engine.requests s.Server.Engine.answered
       s.Server.Engine.overloaded s.Server.Engine.timeouts s.Server.Engine.refused_draining
       s.Server.Engine.protocol_errors s.Server.Engine.batches s.Server.Engine.batched_queries;
-    if adaptive then Printf.printf "adaptive: %d summary swaps\n" s.Server.Engine.swaps;
-    if s.Server.Engine.shards > 1 then
-      Array.iteri
-        (fun i ps ->
-          Printf.printf "  shard %d: %d answered, %d batches (%d queries merged%s)\n" i
-            ps.Server.Engine.shard_answered ps.Server.Engine.shard_batches
-            ps.Server.Engine.shard_batched_queries
-            (if adaptive then Printf.sprintf ", %d swaps" ps.Server.Engine.shard_swaps
-             else ""))
-        s.Server.Engine.per_shard
+    if adaptive then Printf.printf "adaptive: %d summary swaps\n" s.Server.Engine.swaps
   in
   let doc =
     "Serve the catalog over a Unix-domain or TCP socket: concurrent estimate server with \
-     hash-partitioned shards, request batching, deadlines, backpressure, optional \
-     adaptivity (--adaptive: streaming inserts, query feedback, background rebuilds), \
-     and SIGTERM graceful drain (docs/SERVING.md, docs/SHARDING.md, docs/ADAPTIVITY.md)."
+     deadlines, backpressure, optional adaptivity (--adaptive: streaming inserts, query \
+     feedback, background rebuilds), and SIGTERM graceful drain (docs/SERVING.md, \
+     docs/ADAPTIVITY.md)."
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run $ catalog_dir_arg $ socket_arg $ port_arg $ host_arg $ jobs_arg
-          $ shards_arg $ max_inflight_arg $ max_batch_arg $ deadline_arg $ adaptive_arg
-          $ rebuild_after_arg)
+    Term.(const run $ catalog_dir_arg $ socket_arg $ port_arg $ host_arg $ max_inflight_arg
+          $ deadline_arg $ adaptive_arg $ rebuild_after_arg)
 
 let loadgen_cmd =
   let connections_arg =
@@ -1034,13 +961,9 @@ let loadgen_cmd =
       match verify with
       | None -> ()
       | Some dir ->
-        (* Recompute each answer through the entry's owner shard with the
-           direct call of its kind; served bytes must match exactly. *)
-        let shards = detect_shards dir in
-        let services =
-          if shards = 1 then [| open_catalog dir |] else open_sharded_catalog ~shards dir
-        in
-        let svc_of name = services.(Cat.shard_of_name ~shards name) in
+        (* Recompute each answer with the direct call of its kind; served
+           bytes must match exactly. *)
+        let svc = open_catalog dir in
         let mismatches = ref 0 and checked = ref 0 in
         Array.iteri
           (fun i req ->
@@ -1049,13 +972,13 @@ let loadgen_cmd =
               let direct =
                 match req with
                 | Server.Loadgen.Mix_range (name, a, b) ->
-                  or_die (Cat.answer_one (svc_of name) ~name ~a ~b)
+                  or_die (Cat.answer_one svc ~name ~a ~b)
                 | Server.Loadgen.Mix_rect { m_entry; m_x_lo; m_x_hi; m_y_lo; m_y_hi } ->
                   or_die
-                    (Cat.answer_rect (svc_of m_entry) ~name:m_entry ~x_lo:m_x_lo
+                    (Cat.answer_rect svc ~name:m_entry ~x_lo:m_x_lo
                        ~x_hi:m_x_hi ~y_lo:m_y_lo ~y_hi:m_y_hi)
                 | Server.Loadgen.Mix_join { m_entry; m_pred } ->
-                  or_die (Cat.answer_join (svc_of m_entry) ~name:m_entry ~pred:m_pred)
+                  or_die (Cat.answer_join svc ~name:m_entry ~pred:m_pred)
               in
               incr checked;
               if Int64.bits_of_float served <> Int64.bits_of_float direct then
@@ -1117,19 +1040,8 @@ let loadgen_cmd =
       (match verify with
       | None -> ()
       | Some dir ->
-        (* The server may have migrated the directory to the partitioned
-           layout; answer through the owner shard of each entry so --verify
-           works at any --shards value. *)
         let expected =
-          try
-            match detect_shards dir with
-            | 1 -> Cat.answer (open_catalog dir) requests
-            | shards ->
-              let services = open_sharded_catalog ~shards dir in
-              Array.map
-                (fun ((name, _, _) as req) ->
-                  (Cat.answer services.(Cat.shard_of_name ~shards name) [| req |]).(0))
-                requests
+          try Cat.answer (open_catalog dir) requests
           with Invalid_argument msg -> or_die (Error msg)
         in
         let mismatches = ref 0 and checked = ref 0 in

@@ -37,7 +37,7 @@ let () =
     [ ("n(20)", "kernel"); ("u(20)", "ewh:40") ];
 
   (* --- Serve: the engine owns the service; one thread runs it --- *)
-  let engine = Server.Engine.create ~services:[| svc |] address in
+  let engine = Server.Engine.create ~service:svc address in
   let server_thread = Thread.create Server.Engine.serve engine in
   Printf.printf "\nserving %s on unix:%s\n\n" dir socket;
 

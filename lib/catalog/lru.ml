@@ -91,7 +91,7 @@ let find t key =
     None
 
 (* Allocation-free twin of [find]: the served estimate path resolves a
-   summary per run of a merged batch, and a resident hit must not box an
+   summary per run of a request's batch, and a resident hit must not box an
    option per run.  [Hashtbl.find]'s [Not_found] is a preallocated
    constant, so the miss path allocates nothing either. *)
 let find_exn t key =

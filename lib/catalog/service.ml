@@ -37,8 +37,9 @@ let default_adaptive_config =
   }
 
 (* Per-entry adaptive state, created lazily on the first insert/observe.
-   Confined to the service owner (the shard dispatcher); only the rebuild
-   worker below runs off-thread, and it never touches this record. *)
+   Confined to the service owner (the serving engine holds its catalog
+   mutex); only the rebuild worker below runs off-thread, and it never
+   touches this record. *)
 type astate = {
   reservoir : Online.Reservoir.t;
       (* range: attribute values; rect: x coordinates; join: R-side values *)
@@ -57,8 +58,8 @@ type astate = {
 }
 
 (* An in-flight background rebuild.  The worker thread fills [p_result]
-   under [p_m] and fires the wake callback; the owner joins and installs
-   the summary from [adaptive_tick]. *)
+   under [p_m]; the owner joins and installs the summary from
+   [adaptive_tick]. *)
 type pending = {
   p_name : string;
   p_m : Mutex.t;
@@ -104,7 +105,37 @@ type info = {
   cached : bool;
 }
 
-let open_dir ?(config = default_config) ?shard dir =
+(* A directory last served by the former hash-sharded server holds its
+   snapshots in [shard-<i>/] subdirectories.  Move every snapshot (and
+   every orphaned temp file, which [Snapshot.load_dir] then sweeps and
+   reports) back into [dir], so such a directory still opens with every
+   entry; emptied subdirectories are removed.  A failed move goes on the
+   skip list instead of aborting the open. *)
+let flatten_legacy_layout dir =
+  Sys.readdir dir |> Array.to_list |> List.sort String.compare
+  |> List.filter (fun f ->
+         String.length f > 6
+         && String.sub f 0 6 = "shard-"
+         && Sys.is_directory (Filename.concat dir f))
+  |> List.concat_map (fun sub ->
+         let sub_dir = Filename.concat dir sub in
+         let skipped =
+           Sys.readdir sub_dir |> Array.to_list |> List.sort String.compare
+           |> List.filter_map (fun file ->
+                  if
+                    Filename.check_suffix file Snapshot.extension
+                    || Filename.check_suffix file Snapshot.tmp_extension
+                  then
+                    match Sys.rename (Filename.concat sub_dir file) (Filename.concat dir file) with
+                    | () -> None
+                    | exception Sys_error msg ->
+                      Some (file, Printf.sprintf "could not move out of %s/: %s" sub msg)
+                  else None)
+         in
+         (try if Sys.readdir sub_dir = [||] then Sys.rmdir sub_dir with Sys_error _ -> ());
+         skipped)
+
+let open_dir ?(config = default_config) dir =
   if config.capacity < 1 then invalid_arg "Catalog.Service.open_dir: capacity must be >= 1";
   if config.rebuild_after_inserts < 1 then
     invalid_arg "Catalog.Service.open_dir: rebuild_after_inserts must be >= 1";
@@ -112,10 +143,7 @@ let open_dir ?(config = default_config) ?shard dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   if not (Sys.is_directory dir) then
     raise (Sys_error (Printf.sprintf "%s: not a directory" dir));
-  let labels =
-    ("dir", Filename.basename dir)
-    :: (match shard with None -> [] | Some i -> [ ("shard", string_of_int i) ])
-  in
+  let labels = [ ("dir", Filename.basename dir) ] in
   let t =
     {
       dir;
@@ -157,7 +185,9 @@ let open_dir ?(config = default_config) ?shard dir =
           ~help:"Summaries atomically swapped by the adaptive tick";
     }
   in
-  let entries, skipped = Snapshot.load_dir ?shard ~dir () in
+  let flatten_skips = flatten_legacy_layout dir in
+  let entries, skipped = Snapshot.load_dir ~dir () in
+  let skipped = flatten_skips @ skipped in
   List.iter
     (fun (e : Snapshot.entry) ->
       Hashtbl.replace t.index e.name
@@ -485,9 +515,8 @@ let answer_join t ~name ~pred =
 let cache_stats t = Lru.stats t.cache
 
 (* FNV-1a over the entry name.  Stable across processes and OCaml
-   versions; used both to place entries in shard directories and to
-   derive per-entry reservoir seeds.  (Hashtbl.hash is explicitly not
-   that: its value is version-dependent.) *)
+   versions; used to derive per-entry reservoir seeds.  (Hashtbl.hash is
+   explicitly not that: its value is version-dependent.) *)
 let fnv1a name =
   let h = ref 0xcbf29ce484222325L in
   String.iter
@@ -647,7 +676,7 @@ let install_summary t rt name (m : meta) (st : astate) summary ~reset_staleness 
    is kind-specific: range refits the spec on the sample; rect re-grids
    the paired reservoirs; join re-buckets the R side from its reservoir
    while keeping the summarized S side (inserts stream into R). *)
-let launch_rebuild t rt name (m : meta) (st : astate) wake =
+let launch_rebuild t rt name (m : meta) (st : astate) =
   let p =
     { p_name = name; p_m = Mutex.create (); p_result = None; p_thread = None }
   in
@@ -718,12 +747,11 @@ let launch_rebuild t rt name (m : meta) (st : astate) wake =
     let result = job () in
     Mutex.lock p.p_m;
     p.p_result <- Some result;
-    Mutex.unlock p.p_m;
-    wake ()
+    Mutex.unlock p.p_m
   in
   p.p_thread <- Some (Thread.create worker ())
 
-let adaptive_tick ?(wake = fun () -> ()) t =
+let adaptive_tick t =
   match t.adaptive with
   | None -> 0
   | Some rt ->
@@ -791,7 +819,7 @@ let adaptive_tick ?(wake = fun () -> ()) t =
         | [] -> ()
         | name :: rest -> (
           match due name with
-          | Some (m, st) -> launch_rebuild t rt name m st wake
+          | Some (m, st) -> launch_rebuild t rt name m st
           | None -> first rest)
       in
       first (names t)
@@ -845,108 +873,3 @@ let adaptive_stats t =
       rebuild_in_flight = rt.pending <> None;
       last_rebuild_error = !err;
     }
-
-(* ---------------- sharding ---------------- *)
-
-(* The FNV-1a hash above, folded modulo the shard count.  The hash must
-   be stable — it names the directory an entry persists in, so a
-   different hash after an upgrade would strand every snapshot in the
-   wrong shard. *)
-let shard_of_name ~shards name =
-  if shards < 1 then invalid_arg "Catalog.Service.shard_of_name: shards must be >= 1";
-  if shards = 1 then 0
-  else Int64.to_int (Int64.unsigned_rem (fnv1a name) (Int64.of_int shards))
-
-let shard_dir_name i = Printf.sprintf "shard-%d" i
-
-(* Move every snapshot file found under [dir] — in the flat v1 layout or
-   in any shard-*/ subdirectory — to where the target layout wants it:
-   the flat directory itself for [shards = 1], shard-<hash>/ otherwise.
-   Re-running is a no-op, so opening with a different shard count
-   migrates, and opening with the same count touches nothing.  Orphaned
-   .tmp files in a directory being vacated are swept here (per-shard
-   [load_dir] never scans it); failures go on the skip list instead of
-   aborting the open. *)
-let migrate_layout ~shards dir =
-  let skipped = ref [] in
-  let skip file msg = skipped := (file, msg) :: !skipped in
-  let snapshot_files d =
-    if Sys.file_exists d && Sys.is_directory d then
-      Sys.readdir d |> Array.to_list |> List.sort String.compare
-      |> List.map (fun f -> (d, f))
-    else []
-  in
-  let shard_subdirs =
-    Sys.readdir dir |> Array.to_list |> List.sort String.compare
-    |> List.filter (fun f ->
-           String.length f > 6
-           && String.sub f 0 6 = "shard-"
-           && Sys.is_directory (Filename.concat dir f))
-    |> List.map (Filename.concat dir)
-  in
-  let sources = List.concat_map snapshot_files (dir :: shard_subdirs) in
-  let in_target_layout d =
-    if shards = 1 then d = dir
-    else
-      d <> dir
-      && (let base = Filename.basename d in
-          match int_of_string_opt (String.sub base 6 (String.length base - 6)) with
-          | Some i -> base = shard_dir_name i && i >= 0 && i < shards
-          | None -> false)
-  in
-  List.iter
-    (fun (src_dir, file) ->
-      let src = Filename.concat src_dir file in
-      if Filename.check_suffix file Snapshot.tmp_extension then begin
-        (* Only vacated directories are swept here; the target layout's
-           own directories get the reported sweep in [Snapshot.load_dir]. *)
-        if not (in_target_layout src_dir) then
-          match Sys.remove src with
-          | () -> skip file "orphaned temp file from an interrupted write; deleted"
-          | exception Sys_error msg -> skip file ("orphaned temp file; could not delete: " ^ msg)
-      end
-      else if Filename.check_suffix file Snapshot.extension then
-        match Snapshot.decode_file_name file with
-        | None -> skip file "not a percent-encoded snapshot file name; left in place"
-        | Some name ->
-          let target_dir =
-            if shards = 1 then dir
-            else Filename.concat dir (shard_dir_name (shard_of_name ~shards name))
-          in
-          if target_dir <> src_dir then begin
-            if not (Sys.file_exists target_dir) then Sys.mkdir target_dir 0o755;
-            match Sys.rename src (Filename.concat target_dir file) with
-            | () -> ()
-            | exception Sys_error msg -> skip file ("could not migrate to shard layout: " ^ msg)
-          end)
-    sources;
-  (* Directories the migration emptied are noise for the next scan. *)
-  List.iter
-    (fun d ->
-      if Sys.file_exists d && Sys.readdir d = [||] then
-        try Sys.rmdir d with Sys_error _ -> ())
-    shard_subdirs;
-  List.rev !skipped
-
-let open_sharded ?(config = default_config) ~shards dir =
-  if shards < 1 then invalid_arg "Catalog.Service.open_sharded: shards must be >= 1";
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  if not (Sys.is_directory dir) then
-    raise (Sys_error (Printf.sprintf "%s: not a directory" dir));
-  let migration_skips = migrate_layout ~shards dir in
-  if shards = 1 then begin
-    (* Degenerate case is byte-for-byte the v1 flat layout: same
-       directory, same metric labels, same [open_dir] result. *)
-    let t, skipped = open_dir ~config dir in
-    ([| t |], migration_skips @ skipped)
-  end
-  else begin
-    let opened =
-      Array.init shards (fun i ->
-          open_dir ~config ~shard:i (Filename.concat dir (shard_dir_name i)))
-    in
-    let skipped =
-      Array.to_list opened |> List.concat_map (fun (_, skips) -> skips)
-    in
-    (Array.map fst opened, migration_skips @ skipped)
-  end

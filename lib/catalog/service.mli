@@ -31,52 +31,18 @@ val default_config : config
 
 type t
 
-val open_dir : ?config:config -> ?shard:int -> string -> t * (string * string) list
+val open_dir : ?config:config -> string -> t * (string * string) list
 (** [open_dir dir] opens (creating [dir] if missing) the catalog persisted
     there and indexes every readable snapshot.  Corrupt snapshot files are
     skipped and returned as [(file, error)] pairs — recovery never fails
     the catalog, and the survivors keep serving.  Orphaned
     [{!Snapshot.tmp_extension}] files from writes that died mid-rename are
-    swept and reported the same way.  The cache starts cold;
-    summaries load on first access.  [shard] tags the service as one
-    shard of a partitioned catalog: skip messages carry a ["shard N: "]
-    prefix and its telemetry gains a [shard] label (callers normally get
-    this via {!open_sharded} rather than passing it themselves).
+    swept and reported the same way.  A directory written by an older,
+    hash-sharded server (snapshots in [shard-<i>/] subdirectories) is
+    flattened first: every snapshot moves back into [dir] and the emptied
+    subdirectories are removed, so it opens with every entry.  The cache
+    starts cold; summaries load on first access.
     @raise Invalid_argument on a non-positive [config] field.
-    @raise Sys_error if [dir] cannot be created or read. *)
-
-val shard_of_name : shards:int -> string -> int
-(** The shard (in [0 .. shards-1]) that owns an entry name: a stable
-    FNV-1a hash folded modulo [shards].  Stable across processes and
-    OCaml versions — it determines the directory an entry persists in —
-    and [shards = 1] always maps to [0].  Both the on-disk layout of
-    {!open_sharded} and the request router in [Server.Engine] use this
-    function, which is what makes them agree.
-    @raise Invalid_argument if [shards < 1]. *)
-
-val shard_dir_name : int -> string
-(** [shard_dir_name i] is ["shard-<i>"] — the subdirectory of a sharded
-    catalog root that holds shard [i]'s snapshots ([docs/SHARDING.md]
-    documents the layout). *)
-
-val open_sharded :
-  ?config:config -> shards:int -> string -> t array * (string * string) list
-(** [open_sharded ~shards dir] opens [dir] as a hash-partitioned catalog
-    of [shards] independent services — element [i] of the returned array
-    owns the entries with [{!shard_of_name} ~shards name = i], persisted
-    under [dir/shard-<i>/], with its own LRU cache (so total cache
-    capacity is [config.capacity] per shard).  Before opening, the
-    on-disk layout is migrated in place: snapshot files found in the flat
-    v1 layout (or in the shard directories of a different previous shard
-    count) are renamed into the directory the requested partitioning
-    assigns them, so the same [dir] can be served at any shard count and
-    re-opened at another.  [shards = 1] is exactly {!open_dir} on the
-    flat directory — same layout, same service, bit-identical serving —
-    with any shard-*/ files migrated back flat first.  The skip list
-    aggregates migration failures and every shard's load skips, each
-    tagged with its shard.
-    @raise Invalid_argument if [shards < 1] or on a non-positive
-    [config] field.
     @raise Sys_error if [dir] cannot be created or read. *)
 
 val dir : t -> string
@@ -275,7 +241,7 @@ val cache_stats : t -> Lru.stats
     [docs/ADAPTIVITY.md].
 
     Like the rest of the service these functions are single-owner: the
-    serving engine confines them to the entry's shard dispatcher.  Only
+    serving engine runs them under its catalog mutex.  Only
     the rebuild worker launched by {!adaptive_tick} runs on its own
     thread, and it touches nothing but its private sample copy. *)
 
@@ -339,21 +305,20 @@ val observe :
     or non-range entry, [actual] outside [0, 1], non-finite bounds, or
     when adaptivity is disabled. *)
 
-val adaptive_tick : ?wake:(unit -> unit) -> t -> int
+val adaptive_tick : t -> int
 (** One step of the maintenance loop; the serving engine calls this
-    between batches.  In order: (1) if a background rebuild has
-    finished, join it and atomically swap its summary in (cache,
-    metadata and snapshot move together; the entry's staleness resets
-    and its feedback histogram reseeds from the new version); (2) bake
-    every feedback histogram with [refresh_after_observes] pending
-    observations into a swapped summary, synchronously; (3) if no
-    rebuild is in flight, launch one worker thread for the first stale
-    entry (sorted order) whose reservoir holds at least
-    [min_rebuild_sample] values.  [wake] is handed to that worker and
-    fired (from the worker thread) when its result is ready, so an idle
-    caller can re-tick promptly; the default does nothing — callers may
-    simply tick periodically.  Returns the number of summaries swapped
-    by this call.  A rebuild whose estimator rejects the sample parks
+    after every request and on every accept-loop tick.  In order: (1) if
+    a background rebuild has finished, join it and atomically swap its
+    summary in (cache, metadata and snapshot move together; the entry's
+    staleness resets and its feedback histogram reseeds from the new
+    version); (2) bake every feedback histogram with
+    [refresh_after_observes] pending observations into a swapped
+    summary, synchronously; (3) if no rebuild is in flight, launch one
+    worker thread for the first stale entry (sorted order) whose
+    reservoir holds at least [min_rebuild_sample] values; its result is
+    swapped in by the first tick after it finishes, so callers tick
+    periodically.  Returns the number of summaries swapped by this
+    call.  A rebuild whose estimator rejects the sample parks
     the entry ([Error] recorded, visible in {!adaptive_stats}) until
     fresh inserts arrive, rather than hot-looping.  Never raises. *)
 

@@ -20,40 +20,6 @@ let file_name name =
     name;
   Buffer.contents buf ^ extension
 
-(* Inverse of [file_name]: strip the extension, then percent-decode.
-   Total — a name that is not a percent-encoded snapshot file name
-   (wrong suffix, truncated or non-hex escape) is [None], so directory
-   scans can tell snapshot files from strangers without loading them. *)
-let decode_file_name file =
-  if not (Filename.check_suffix file extension) then None
-  else begin
-    let stem = Filename.chop_suffix file extension in
-    let buf = Buffer.create (String.length stem) in
-    let n = String.length stem in
-    let hex c =
-      match c with
-      | '0' .. '9' -> Some (Char.code c - Char.code '0')
-      | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-      | _ -> None
-    in
-    let rec go i =
-      if i >= n then Some (Buffer.contents buf)
-      else if stem.[i] <> '%' then begin
-        Buffer.add_char buf stem.[i];
-        go (i + 1)
-      end
-      else if i + 2 >= n then None
-      else
-        match (hex stem.[i + 1], hex stem.[i + 2]) with
-        | Some hi, Some lo ->
-          Buffer.add_char buf (Char.chr ((hi * 16) + lo));
-          go (i + 3)
-        | _ -> None
-    in
-    go 0
-  end
-
 let path ~dir name = Filename.concat dir (file_name name)
 
 let save ~dir entry =
@@ -163,15 +129,7 @@ let load ~path =
 
 let tmp_extension = extension ^ ".tmp"
 
-let load_dir ?shard ~dir () =
-  (* Once the catalog is sharded, every skip/sweep message names the
-     shard it came from: "a.summary: corrupt" alone is ambiguous when N
-     directories each hold an a.summary. *)
-  let tag msg =
-    match shard with
-    | None -> msg
-    | Some i -> Printf.sprintf "shard %d: %s" i msg
-  in
+let load_dir ~dir () =
   let listing = Sys.readdir dir |> Array.to_list |> List.sort String.compare in
   (* A *.summary.tmp file is a write that died between temp-write and
      rename; its final file (if any) is intact, so the orphan is pure
@@ -180,16 +138,16 @@ let load_dir ?shard ~dir () =
     List.filter (fun f -> Filename.check_suffix f tmp_extension) listing
     |> List.filter_map (fun f ->
            match Sys.remove (Filename.concat dir f) with
-           | () -> Some (f, tag "orphaned temp file from an interrupted write; deleted")
+           | () -> Some (f, "orphaned temp file from an interrupted write; deleted")
            | exception Sys_error msg ->
-             Some (f, tag ("orphaned temp file; could not delete: " ^ msg)))
+             Some (f, "orphaned temp file; could not delete: " ^ msg))
   in
   let files = List.filter (fun f -> Filename.check_suffix f extension) listing in
   List.fold_left
     (fun (ok, skipped) file ->
       match load ~path:(Filename.concat dir file) with
       | Ok e -> (e :: ok, skipped)
-      | Error msg -> (ok, (file, tag msg) :: skipped))
+      | Error msg -> (ok, (file, msg) :: skipped))
     ([], List.rev orphans) files
   |> fun (ok, skipped) -> (List.rev ok, List.rev skipped)
 

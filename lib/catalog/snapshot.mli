@@ -43,14 +43,6 @@ val file_name : string -> string
     [[A-Za-z0-9._-]] are percent-encoded, then {!extension} is appended,
     so names like ["n(20)/kernel"] become filesystem-safe. *)
 
-val decode_file_name : string -> string option
-(** Inverse of {!file_name}: [Some name] when the argument is a
-    well-formed percent-encoded snapshot file name (the {!extension}
-    suffix stripped, [%XX] escapes decoded), [None] otherwise.  Total —
-    it never raises — so directory scans (and the shard-layout migration
-    in [Catalog.Service.open_sharded]) can recover entry names without
-    loading file contents. *)
-
 val path : dir:string -> string -> string
 (** [path ~dir name] is the snapshot path of [name] inside [dir]. *)
 
@@ -68,16 +60,12 @@ val tmp_extension : string
 (** [".summary.tmp"] — the suffix of in-flight {!save} temp files; one
     left on disk marks a write that died before its rename. *)
 
-val load_dir : ?shard:int -> dir:string -> unit -> entry list * (string * string) list
+val load_dir : dir:string -> unit -> entry list * (string * string) list
 (** Scan [dir] for [*{!extension}] files (sorted by file name) and load
     each: returns the entries that parsed alongside [(file, error)] pairs
     for the ones that did not — the skip-and-report recovery contract.
     Orphaned [*{!tmp_extension}] files from writes that died before their
     rename are swept (deleted) first and reported in the same skip list.
-    When [dir] is one shard of a partitioned catalog, pass [shard] and
-    every message is prefixed ["shard N: "] — with several directories
-    each holding an [a.summary], an unprefixed message would not say
-    which copy was skipped (see [docs/SHARDING.md]).
     @raise Sys_error if [dir] itself cannot be read. *)
 
 val delete : dir:string -> string -> unit

@@ -29,13 +29,22 @@ let of_sample ?cells ?(spec = Estimator.kernel_defaults) ~domain sample =
 let cells t = Array.length t.weights
 let domain t = (t.lo, t.hi)
 
+(* The index of the cell holding [v], clamped in float space to
+   [0, k-1], so an infinite or huge query bound lands in an edge cell
+   rather than in [int_of_float]'s unspecified result (NaN lands in cell
+   0; its overlaps are all false).  Bounds inside the domain index
+   exactly as an unclamped [int_of_float] would. *)
+let[@inline] cell_index ~lo ~w ~k v =
+  let c = Float.floor ((v -. lo) /. w) in
+  if c >= float_of_int (k - 1) then k - 1 else if c > 0.0 then int_of_float c else 0
+
 let selectivity t ~a ~b =
   if a > b then 0.0
   else begin
     let k = Array.length t.weights in
     let w = (t.hi -. t.lo) /. float_of_int k in
-    let first = Int.max 0 (int_of_float (Float.floor ((a -. t.lo) /. w))) in
-    let last = Int.min (k - 1) (int_of_float (Float.floor ((b -. t.lo) /. w))) in
+    let first = cell_index ~lo:t.lo ~w ~k a in
+    let last = cell_index ~lo:t.lo ~w ~k b in
     let acc = ref 0.0 in
     for i = first to last do
       let c_lo = t.lo +. (float_of_int i *. w) in
@@ -62,8 +71,8 @@ let selectivity_into t ~pos ~len ~a ~b ~out =
     let v =
       if qa > qb then 0.0
       else begin
-        let first = Int.max 0 (int_of_float (Float.floor ((qa -. t_lo) /. w))) in
-        let last = Int.min (k - 1) (int_of_float (Float.floor ((qb -. t_lo) /. w))) in
+        let first = cell_index ~lo:t_lo ~w ~k qa in
+        let last = cell_index ~lo:t_lo ~w ~k qb in
         let acc = ref 0.0 in
         for i = first to last do
           let c_lo = t_lo +. (float_of_int i *. w) in
@@ -95,7 +104,8 @@ let of_string s =
       match String.split_on_char ' ' (String.trim domain_line) with
       | [ "domain"; a; b ] -> (
         match (float_of_string_opt a, float_of_string_opt b) with
-        | Some lo, Some hi when lo < hi -> Ok (lo, hi)
+        | Some lo, Some hi when Float.is_finite lo && Float.is_finite hi && lo < hi ->
+          Ok (lo, hi)
         | _ -> Error "Stored.of_string: malformed domain bounds")
       | _ -> Error "Stored.of_string: missing domain line"
     in

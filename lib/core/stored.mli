@@ -40,14 +40,17 @@ val domain : t -> float * float
 (** Estimation domain the cells partition. *)
 
 val selectivity : t -> a:float -> b:float -> float
-(** Piecewise-constant range selectivity, clamped to [[0, 1]]. *)
+(** Piecewise-constant range selectivity, clamped to [[0, 1]].  Query
+    bounds may be infinite or lie far outside the domain: they clamp to
+    the edge cells, so [selectivity t ~a:neg_infinity ~b:infinity] is the
+    whole mass. *)
 
 val selectivity_into :
   t -> pos:int -> len:int -> a:float array -> b:float array -> out:float array -> unit
 (** [selectivity_into t ~pos ~len ~a ~b ~out] writes {!selectivity} of
     [Q(a.(i), b.(i))] to [out.(i)] for [pos <= i < pos + len],
     bit-identically to the scalar probe and without allocating — the
-    serving engine evaluates each same-summary run of a merged batch
+    serving engine evaluates each same-summary run of a request
     through this in place.  [len = 0] touches nothing.
     @raise Invalid_argument on a negative range or arrays shorter than
     [pos + len]. *)
@@ -56,7 +59,8 @@ val to_string : t -> string
 (** One-line-per-field textual form, safe to store in a catalog column. *)
 
 val of_string : string -> (t, string) result
-(** Inverse of {!to_string}; [Error] describes the first malformed field. *)
+(** Inverse of {!to_string}; [Error] describes the first malformed field
+    (a non-finite domain bound included). *)
 
 (** {1 Rectangle (2-D grid) summaries}
 

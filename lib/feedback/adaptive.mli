@@ -21,7 +21,7 @@
     measured drift-timeline experiment live in [docs/ADAPTIVITY.md].
 
     Updates are deterministic in observation order and cost O(buckets
-    overlapped) with no allocation, so the serving dispatcher can absorb
+    overlapped) with no allocation, so the serving engine can absorb
     feedback inline. *)
 
 type t

@@ -14,8 +14,8 @@
     fed the same values element-for-element hold identical samples. *)
 
 type t
-(** Mutable reservoir state.  Not thread-safe; the serving engine confines
-    each reservoir to its shard's dispatcher domain. *)
+(** Mutable reservoir state.  Not thread-safe; the serving engine touches
+    reservoirs only under its catalog mutex. *)
 
 val create : ?seed:int64 -> capacity:int -> unit -> t
 (** [create ~capacity ()] is an empty reservoir retaining at most

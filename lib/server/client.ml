@@ -30,6 +30,8 @@ type t = {
   address : Wire.address;
   config : config;
   rng : Prng.Splitmix64.t;
+  w : Wire.writer;
+  r : Wire.reader;
   mutable fd : Unix.file_descr option;
 }
 
@@ -95,19 +97,18 @@ let ensure_fd t =
    at-least-once operation — a resent frame offers its values to the
    reservoir again (see wire.mli). *)
 let rpc t req =
-  let payload = Wire.encode_request req in
   let rec attempt n =
     match
       let fd = ensure_fd t in
-      Wire.write_frame fd payload;
-      Wire.read_frame fd
+      Wire.write_request t.w fd req;
+      Wire.read_frame_into t.r fd
     with
-    | Ok (Some reply) -> (
-      match Wire.decode_response reply with
+    | -1 -> retry n "connection closed by server"
+    | -2 -> Error (Protocol (Wire.reader_error t.r))
+    | len -> (
+      match Wire.decode_response (Bytes.sub_string (Wire.reader_buffer t.r) 0 len) with
       | Ok resp -> Ok resp
       | Error m -> Error (Protocol m))
-    | Ok None -> retry n "connection closed by server"
-    | Error m -> Error (Protocol m)
     | exception Unix.Unix_error (e, fn, _) when transient e ->
       retry n (Printf.sprintf "%s: %s" fn (Unix.error_message e))
     | exception Unix.Unix_error (e, fn, _) ->
@@ -125,7 +126,14 @@ let rpc t req =
 
 let create ?(config = default_config) address =
   Wire.ignore_sigpipe ();
-  { address; config; rng = Prng.Splitmix64.create config.seed; fd = None }
+  {
+    address;
+    config;
+    rng = Prng.Splitmix64.create config.seed;
+    w = Wire.create_writer ();
+    r = Wire.create_reader ();
+    fd = None;
+  }
 
 let connect ?config address =
   let t = create ?config address in

@@ -1,51 +1,33 @@
-(* The concurrent estimate server, sharded across OCaml 5 domains.
+(* The concurrent estimate server, evaluating on its connection threads.
 
    Thread architecture: the thread calling [serve] runs the accept loop
-   (a [select] tick so the drain flag is noticed promptly); each accepted
-   connection gets a reader thread; and each shard runs one dispatcher
-   *domain* that owns that shard's [Catalog.Service] — the service is
-   single-owner by contract (its LRU cache mutates on reads), so every
-   catalog operation funnels through its shard's dispatcher.  Domains
-   rather than threads because OCaml systhreads of one domain share a
-   runtime lock: with [shards = N], N merged batches evaluate in true
-   parallel on N cores.
+   (a [select] tick, so the drain flag is noticed promptly and an idle
+   adaptive server still reaps its background rebuilds); each accepted
+   connection gets a thread that reads a frame, decodes it, evaluates it
+   and writes the reply itself.  The catalog service is single-owner by
+   contract (its LRU cache mutates on reads), so evaluation runs under
+   one catalog mutex, and the reply is written after the mutex is
+   released.  A served estimate is a few array lookups against tens of
+   microseconds of socket round trip, so handing requests to a separate
+   evaluator would cost more than it could save (docs/SERVING.md has the
+   measurements).
 
-   Requests are routed by entry name: [Catalog.Service.shard_of_name]
-   (the same stable hash that lays out the snapshot directories) sends
-   each query to the shard that owns its entry.  A [batch_estimate]
-   frame whose queries span shards is split by the connection thread
-   into per-shard sub-jobs (each preserving its queries' relative
-   order), evaluated concurrently, and reassembled into one reply in
-   the original request order — so served bits are identical to the
-   single-shard path, which in turn is bit-identical to direct
-   [Catalog.Service.answer] calls.  With [shards = 1] the router
-   degenerates to exactly the pre-sharding engine: one dispatcher, one
-   queue, whole frames, zero-allocation steady state.
+   Each request is answered through the same [Catalog.Service] call a
+   direct caller makes, so served bits are identical to direct answers
+   whatever the interleaving of clients.  Each connection reuses its
+   [Wire.reader], [Wire.writer], decode scratch and structure-of-arrays
+   staging arrays, so a steady-state single estimate costs no fresh
+   buffers.
 
-   Per-shard batching works exactly as the single dispatcher did:
-   connection threads park service-bound sub-jobs on the shard's queue
-   and block until its dispatcher fulfills them; whatever accumulated
-   while the previous batch ran is merged (into the shard's reused
-   structure-of-arrays staging buffers) and evaluated in one
-   [Service.answer_into] pass.  Each connection reuses one job record
-   per shard and one [Wire.writer]; a steady-state single-shard request
-   costs no fresh buffers on the reply path, while a cross-shard batch
-   pays small per-request split/reassembly arrays (quantified in
-   docs/PERFORMANCE.md).
-
-   Backpressure is admission control at enqueue time: once
-   [max_inflight] requests are in flight the connection thread answers
-   [Overloaded] immediately instead of queueing — one admission slot
-   per request, however many shards it fans out to.  Requests that sat
-   in a queue past [deadline_s] are answered [Timeout] without
-   evaluation.  A drain (SIGTERM or [initiate_drain]) stops the accept
-   loop, answers new requests [Draining], lets every in-flight request
-   finish and its reply be written, then retires the dispatchers and
-   closes all sockets.  A dispatcher that dies (or is killed by the
-   [kill_shard_dispatcher] fault hook) marks its shard down: queued
-   jobs are failed with the typed [Internal] error and later requests
-   routed there are refused the same way, while the other shards keep
-   serving — a shard failure degrades, it does not hang. *)
+   Backpressure is admission control on arrival: once [max_inflight]
+   requests are in flight (evaluating, or waiting for the mutex) the
+   connection thread answers [Overloaded] immediately.  A request that
+   waited for the mutex past [deadline_s] is answered [Timeout] without
+   evaluation, and one whose evaluation raises gets the typed [Internal]
+   error.  A drain (SIGTERM or [initiate_drain]) stops the accept loop,
+   answers new requests [Draining], lets every in-flight request finish
+   and its reply be written, waits for the connections to go quiet,
+   finishes any in-flight adaptive rebuild, then closes all sockets. *)
 
 module Service = Catalog.Service
 
@@ -70,13 +52,6 @@ let default_config =
     dispatch_delay_s = 0.0;
   }
 
-type shard_stats = {
-  shard_batches : int;
-  shard_batched_queries : int;
-  shard_answered : int;
-  shard_swaps : int;
-}
-
 type stats = {
   connections : int;
   requests : int;
@@ -88,75 +63,11 @@ type stats = {
   batches : int;
   batched_queries : int;
   swaps : int;
-  shards : int;
-  per_shard : shard_stats array;
-}
-
-(* A service-bound request parked by its connection thread.  One job
-   record lives per connection *per shard*, not per request: the
-   connection thread blocks awaiting every sub-job of a request before
-   reading its next frame, so the records (and their mutex/condition)
-   are free for reuse the moment the replies land — [kind],
-   [enqueued_at] and [reply] are reset in place. *)
-type job_kind =
-  | Query of { triples : (string * float * float) array }
-  | Query1
-      (* a single estimate whose fields live in the job record itself
-         ([q1_entry], [q1_spec], [q1]) — the hot path carries no fresh
-         request value, so enqueueing one allocates nothing *)
-  | Ls_job
-  | Invalidate_job of string
-  | Insert_job of { entry : string; values : float array }
-  | Observe_job of { entry : string; oa : float; ob : float; actual : float }
-  | Rect_job of { entry : string; rx_lo : float; rx_hi : float; ry_lo : float; ry_hi : float }
-  | Join_job of { entry : string; pred : Selest.Stored.join_pred }
-
-type job = {
-  mutable kind : job_kind;
-  mutable enqueued_at : float;
-  job_m : Mutex.t;
-  job_c : Condition.t;
-  mutable reply : Wire.response option;
-  mutable q1_entry : string;
-  mutable q1_spec : string;
-  q1 : Wire.qnums; (* all-float record: setting the bounds never boxes *)
-}
-
-(* Structure-of-arrays staging for merged batches, owned by the shard's
-   dispatcher domain and reused (grown geometrically, never shrunk)
-   across batches: at steady state a dispatch allocates no fresh
-   arrays before handing the batch to [Service.answer_into]. *)
-type merge_buffers = {
-  mutable mb_names : string array;
-  mutable mb_a : float array;
-  mutable mb_b : float array;
-  mutable mb_out : float array;
-}
-
-type shard = {
-  sh_id : int;
-  sh_service : Service.t;
-  sh_queue : job Queue.t;
-  sh_m : Mutex.t;
-  sh_c : Condition.t;
-  sh_mb : merge_buffers;
-  (* [sh_stop] asks the dispatcher to exit once its queue drains;
-     [sh_down] means it is gone — set by the dispatcher domain itself on
-     the way out, checked at enqueue so no job can park on a queue
-     nobody will ever pop. *)
-  sh_stop : bool Atomic.t;
-  sh_down : bool Atomic.t;
-  mutable sh_domain : unit Domain.t option;
-  sh_batches : int Atomic.t;
-  sh_batched_queries : int Atomic.t;
-  sh_answered : int Atomic.t;
-  sh_swaps : int Atomic.t;
-  sh_m_batches : Telemetry.Metrics.counter;
-  sh_m_batched_queries : Telemetry.Metrics.counter;
 }
 
 type t = {
-  shards : shard array;
+  service : Service.t;
+  catalog_m : Mutex.t; (* held for every touch of [service] *)
   config : config;
   address : Wire.address;
   listen_fd : Unix.file_descr;
@@ -167,27 +78,27 @@ type t = {
   conn_seq : int Atomic.t;
   s_connections : int Atomic.t;
   s_requests : int Atomic.t;
+  s_answered : int Atomic.t;
   s_overloaded : int Atomic.t;
   s_timeouts : int Atomic.t;
   s_refused_draining : int Atomic.t;
   s_protocol_errors : int Atomic.t;
+  s_batches : int Atomic.t;
+  s_batched_queries : int Atomic.t;
+  s_swaps : int Atomic.t;
   m_connections : Telemetry.Metrics.counter;
   m_requests : Telemetry.Metrics.counter;
   m_overloaded : Telemetry.Metrics.counter;
   m_timeouts : Telemetry.Metrics.counter;
+  m_batches : Telemetry.Metrics.counter;
+  m_batched_queries : Telemetry.Metrics.counter;
   m_request_seconds : Telemetry.Metrics.histogram;
 }
 
-let shard_count t = Array.length t.shards
-
-let create ?(config = default_config) ~services address =
+let create ?(config = default_config) ~service address =
   Wire.ignore_sigpipe ();
-  if Array.length services < 1 then
-    invalid_arg "Server.Engine.create: services must not be empty";
-  if config.jobs < 1 then invalid_arg "Server.Engine.create: jobs must be >= 1";
   if config.max_inflight < 0 then
     invalid_arg "Server.Engine.create: max_inflight must be >= 0";
-  if config.max_batch < 1 then invalid_arg "Server.Engine.create: max_batch must be >= 1";
   if config.accept_backlog < 1 then
     invalid_arg "Server.Engine.create: accept_backlog must be >= 1";
   if config.tick_s <= 0.0 then invalid_arg "Server.Engine.create: tick_s must be > 0";
@@ -209,41 +120,9 @@ let create ?(config = default_config) ~services address =
   in
   Unix.listen listen_fd config.accept_backlog;
   let labels = [ ("addr", Wire.address_to_string address) ] in
-  let nshards = Array.length services in
-  let shards =
-    Array.mapi
-      (fun i service ->
-        (* The single-shard configuration keeps today's label set so its
-           telemetry stream is unchanged; sharded servers label per
-           shard, which is what makes per-shard batching observable. *)
-        let sh_labels =
-          if nshards = 1 then labels else labels @ [ ("shard", string_of_int i) ]
-        in
-        {
-          sh_id = i;
-          sh_service = service;
-          sh_queue = Queue.create ();
-          sh_m = Mutex.create ();
-          sh_c = Condition.create ();
-          sh_mb = { mb_names = [||]; mb_a = [||]; mb_b = [||]; mb_out = [||] };
-          sh_stop = Atomic.make false;
-          sh_down = Atomic.make false;
-          sh_domain = None;
-          sh_batches = Atomic.make 0;
-          sh_batched_queries = Atomic.make 0;
-          sh_answered = Atomic.make 0;
-          sh_swaps = Atomic.make 0;
-          sh_m_batches =
-            Telemetry.Metrics.counter "server_batches_total" ~labels:sh_labels
-              ~help:"Service.answer calls issued by the dispatchers";
-          sh_m_batched_queries =
-            Telemetry.Metrics.counter "server_batched_queries_total" ~labels:sh_labels
-              ~help:"Range queries folded into dispatcher batches";
-        })
-      services
-  in
   {
-    shards;
+    service;
+    catalog_m = Mutex.create ();
     config;
     address;
     listen_fd;
@@ -254,10 +133,14 @@ let create ?(config = default_config) ~services address =
     conn_seq = Atomic.make 0;
     s_connections = Atomic.make 0;
     s_requests = Atomic.make 0;
+    s_answered = Atomic.make 0;
     s_overloaded = Atomic.make 0;
     s_timeouts = Atomic.make 0;
     s_refused_draining = Atomic.make 0;
     s_protocol_errors = Atomic.make 0;
+    s_batches = Atomic.make 0;
+    s_batched_queries = Atomic.make 0;
+    s_swaps = Atomic.make 0;
     m_connections =
       Telemetry.Metrics.counter "server_connections_total" ~labels
         ~help:"Connections accepted by the estimate server";
@@ -270,6 +153,12 @@ let create ?(config = default_config) ~services address =
     m_timeouts =
       Telemetry.Metrics.counter "server_timeouts_total" ~labels
         ~help:"Requests expired past their deadline before evaluation";
+    m_batches =
+      Telemetry.Metrics.counter "server_batches_total" ~labels
+        ~help:"Service.answer_into calls issued by the engine";
+    m_batched_queries =
+      Telemetry.Metrics.counter "server_batched_queries_total" ~labels
+        ~help:"Range queries evaluated through those calls";
     m_request_seconds =
       Telemetry.Metrics.histogram "server_request_seconds" ~labels
         ~help:"Latency from frame decode to reply written";
@@ -283,30 +172,17 @@ let bound_port t =
   | Unix.ADDR_UNIX _ -> None
 
 let stats t =
-  let per_shard =
-    Array.map
-      (fun sh ->
-        {
-          shard_batches = Atomic.get sh.sh_batches;
-          shard_batched_queries = Atomic.get sh.sh_batched_queries;
-          shard_answered = Atomic.get sh.sh_answered;
-          shard_swaps = Atomic.get sh.sh_swaps;
-        })
-      t.shards
-  in
   {
     connections = Atomic.get t.s_connections;
     requests = Atomic.get t.s_requests;
-    answered = Array.fold_left (fun n s -> n + s.shard_answered) 0 per_shard;
+    answered = Atomic.get t.s_answered;
     overloaded = Atomic.get t.s_overloaded;
     timeouts = Atomic.get t.s_timeouts;
     refused_draining = Atomic.get t.s_refused_draining;
     protocol_errors = Atomic.get t.s_protocol_errors;
-    batches = Array.fold_left (fun n s -> n + s.shard_batches) 0 per_shard;
-    batched_queries = Array.fold_left (fun n s -> n + s.shard_batched_queries) 0 per_shard;
-    swaps = Array.fold_left (fun n s -> n + s.shard_swaps) 0 per_shard;
-    shards = Array.length t.shards;
-    per_shard;
+    batches = Atomic.get t.s_batches;
+    batched_queries = Atomic.get t.s_batched_queries;
+    swaps = Atomic.get t.s_swaps;
   }
 
 let draining t = Atomic.get t.draining
@@ -318,49 +194,89 @@ let initiate_drain t = Atomic.set t.draining true
 let install_sigterm t =
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> initiate_drain t))
 
-(* ---------------- dispatchers (one domain per shard) ---------------- *)
+(* ---------------- evaluation (under [catalog_m]) ---------------- *)
 
-let complete job resp =
-  Mutex.lock job.job_m;
-  job.reply <- Some resp;
-  Condition.broadcast job.job_c;
-  Mutex.unlock job.job_m
+(* Per-connection state, reused across requests: frame I/O buffers, the
+   decode scratch, and structure-of-arrays staging for [answer_into]
+   (grown geometrically, never shrunk). *)
+type conn = {
+  fd : Unix.file_descr;
+  w : Wire.writer;
+  r : Wire.reader;
+  sc : Wire.scratch;
+  mutable names : string array;
+  mutable qa : float array;
+  mutable qb : float array;
+  mutable out : float array;
+}
 
-(* Pop the shard's next batch: blocks until a job arrives, the stop flag
-   is raised, or the shard's condition is poked (an adaptive rebuild
-   worker finishing), then takes queued jobs up to [max_batch] merged
-   queries (the first job is always taken whole, so an oversized client
-   batch still dispatches).  A single [Condition.wait] rather than a
-   wait loop: returning [] on a wake with an empty queue is exactly what
-   lets the dispatcher run its adaptive maintenance promptly instead of
-   sleeping on the swap until the next request. *)
-let next_jobs t sh =
-  Mutex.lock sh.sh_m;
-  if Queue.is_empty sh.sh_queue && not (Atomic.get sh.sh_stop) then
-    Condition.wait sh.sh_c sh.sh_m;
-  let jobs = ref [] in
-  let merged = ref 0 in
-  let full = ref false in
-  while (not !full) && not (Queue.is_empty sh.sh_queue) do
-    let j = Queue.peek sh.sh_queue in
-    let cost =
-      match j.kind with
-      | Query { triples } -> max 1 (Array.length triples)
-      | Query1 | Ls_job | Invalidate_job _ | Insert_job _ | Observe_job _ | Rect_job _
-      | Join_job _ ->
-        1
-    in
-    if !jobs <> [] && !merged + cost > t.config.max_batch then full := true
-    else begin
-      ignore (Queue.pop sh.sh_queue);
-      jobs := j :: !jobs;
-      merged := !merged + cost
-    end
-  done;
-  Mutex.unlock sh.sh_m;
-  List.rev !jobs
+let error_reply code message = Wire.Error_reply { code; message }
+let unknown_entry name =
+  error_reply Wire.Unknown_entry (Printf.sprintf "unknown catalog entry %S" name)
 
-let ls_reply sh =
+(* A rect or join query the service refused: an unknown entry is the
+   usual typed refusal, a wrong-kind entry is the caller's mistake. *)
+let query_refusal t entry message =
+  error_reply
+    (if Service.mem t.service entry then Wire.Bad_request else Wire.Unknown_entry)
+    message
+
+(* An insert or observe the service refused: without adaptivity every
+   write is a bad request, whatever the entry. *)
+let write_refusal t entry message =
+  error_reply
+    (if Service.adaptive_enabled t.service && not (Service.mem t.service entry) then
+       Wire.Unknown_entry
+     else Wire.Bad_request)
+    message
+
+let ensure_capacity c n =
+  if Array.length c.names < n then begin
+    let cap = ref (Array.length c.names) in
+    while !cap < n do
+      cap := 2 * !cap
+    done;
+    c.names <- Array.make !cap "";
+    c.qa <- Array.make !cap 0.0;
+    c.qb <- Array.make !cap 0.0;
+    c.out <- Array.make !cap 0.0
+  end
+
+(* Answer the [n] range queries staged in [c] with one [answer_into]
+   call — one "batch" in the drain report. *)
+let answer_staged t c n =
+  Service.answer_into t.service ~n ~names:c.names ~a:c.qa ~b:c.qb ~out:c.out;
+  Atomic.incr t.s_batches;
+  ignore (Atomic.fetch_and_add t.s_batched_queries n);
+  ignore (Atomic.fetch_and_add t.s_answered n);
+  Telemetry.Metrics.incr t.m_batches;
+  Telemetry.Metrics.add t.m_batched_queries n
+
+(* The hot path: the decoded fields move from the scratch into slot 0
+   of the staging arrays (string refs and unboxed float stores), so a
+   resident single estimate allocates nothing before its reply value. *)
+let estimate t c =
+  let sc = c.sc in
+  let entry = sc.Wire.s_entry in
+  if not (Service.mem t.service entry) then unknown_entry entry
+  else if
+    sc.Wire.s_spec <> ""
+    &&
+    match Service.info t.service entry with
+    | Some i -> i.Service.spec <> sc.Wire.s_spec
+    | None -> false
+  then
+    error_reply Wire.Spec_mismatch
+      (Printf.sprintf "entry was not built with spec %S" sc.Wire.s_spec)
+  else begin
+    Array.unsafe_set c.names 0 entry;
+    Array.unsafe_set c.qa 0 sc.Wire.s_q.Wire.sa;
+    Array.unsafe_set c.qb 0 sc.Wire.s_q.Wire.sb;
+    answer_staged t c 1;
+    Wire.Estimate_reply (Array.unsafe_get c.out 0)
+  end
+
+let ls_reply t =
   Wire.Ls_reply
     (List.map
        (fun (i : Service.info) ->
@@ -373,665 +289,171 @@ let ls_reply sh =
            kind = i.Service.kind;
            domain_y = i.Service.domain_y;
          })
-       (Service.infos sh.sh_service))
+       (Service.infos t.service))
 
-let ensure_merge_capacity mb total =
-  if Array.length mb.mb_names < total then begin
-    let cap = ref (Int.max 16 (Array.length mb.mb_names)) in
-    while !cap < total do
-      cap := 2 * !cap
-    done;
-    mb.mb_names <- Array.make !cap "";
-    mb.mb_a <- Array.make !cap 0.0;
-    mb.mb_b <- Array.make !cap 0.0;
-    mb.mb_out <- Array.make !cap 0.0
-  end
+let answer t c incoming =
+  match incoming with
+  | Wire.Fast_estimate -> estimate t c
+  | Wire.Decoded req -> (
+    match req with
+    | Wire.Estimate { entry; a; b; spec } ->
+      (* The serving decoder delivers every estimate as [Fast_estimate];
+         a decoded one takes the same path through the scratch. *)
+      c.sc.Wire.s_entry <- entry;
+      c.sc.Wire.s_spec <- spec;
+      c.sc.Wire.s_q.Wire.sa <- a;
+      c.sc.Wire.s_q.Wire.sb <- b;
+      estimate t c
+    | Wire.Batch_estimate triples -> (
+      match Array.find_opt (fun (name, _, _) -> not (Service.mem t.service name)) triples with
+      | Some (name, _, _) -> unknown_entry name
+      | None ->
+        let n = Array.length triples in
+        ensure_capacity c n;
+        Array.iteri
+          (fun i (name, qa, qb) ->
+            c.names.(i) <- name;
+            c.qa.(i) <- qa;
+            c.qb.(i) <- qb)
+          triples;
+        answer_staged t c n;
+        Wire.Batch_reply (Array.sub c.out 0 n))
+    | Wire.Estimate_rect { entry; x_lo; x_hi; y_lo; y_hi } -> (
+      (* The same [Selest.Stored.rect_selectivity] a direct
+         [Multidim.Hist2d] call uses, so the served bits are identical by
+         construction. *)
+      match Service.answer_rect t.service ~name:entry ~x_lo ~x_hi ~y_lo ~y_hi with
+      | Ok v ->
+        Atomic.incr t.s_answered;
+        Wire.Estimate_reply v
+      | Error message -> query_refusal t entry message)
+    | Wire.Estimate_join { entry; pred } -> (
+      match Service.answer_join t.service ~name:entry ~pred with
+      | Ok v ->
+        Atomic.incr t.s_answered;
+        Wire.Estimate_reply v
+      | Error message -> query_refusal t entry message)
+    | Wire.Insert { entry; values } -> (
+      match Service.insert t.service ~name:entry values with
+      | Ok (sampled, seen) -> Wire.Inserted { sampled; seen }
+      | Error message -> write_refusal t entry message)
+    | Wire.Observe { entry; a; b; actual } -> (
+      match Service.observe t.service ~name:entry ~a ~b ~actual with
+      | Ok refined -> Wire.Observed refined
+      | Error message -> write_refusal t entry message)
+    | Wire.Invalidate name -> (
+      match Service.invalidate t.service name with
+      | Ok () -> Wire.Invalidated
+      | Error message -> error_reply Wire.Unknown_entry message)
+    | Wire.Ls -> ls_reply t
+    | Wire.Ping -> Wire.Pong)
 
-(* Answer every query job of the shard's batch with one
-   [Service.answer_into] call over the reused staging arrays.  Each
-   job's slice of the merged batch is evaluated independently of what
-   else the batch contains, so served answers stay bit-identical to a
-   direct call whatever the interleaving of clients; queries of one job
-   stay contiguous, so a same-entry client batch is one summary
-   resolution.  [complete] is the batch's recording completion function
-   (see [process_batch]). *)
-let run_queries sh ~complete query_jobs =
-  let total = List.fold_left (fun n (_, len) -> n + len) 0 query_jobs in
-  if total > 0 then begin
-    Atomic.incr sh.sh_batches;
-    ignore (Atomic.fetch_and_add sh.sh_batched_queries total);
-    Telemetry.Metrics.incr sh.sh_m_batches;
-    Telemetry.Metrics.add sh.sh_m_batched_queries total;
-    let mb = sh.sh_mb in
-    ensure_merge_capacity mb total;
-    let off = ref 0 in
-    List.iter
-      (fun (job, len) ->
-        (match job.kind with
-        | Query { triples } ->
-          for i = 0 to len - 1 do
-            let name, qa, qb = Array.unsafe_get triples i in
-            Array.unsafe_set mb.mb_names (!off + i) name;
-            Array.unsafe_set mb.mb_a (!off + i) qa;
-            Array.unsafe_set mb.mb_b (!off + i) qb
-          done
-        | Query1 ->
-          Array.unsafe_set mb.mb_names !off job.q1_entry;
-          Array.unsafe_set mb.mb_a !off job.q1.Wire.sa;
-          Array.unsafe_set mb.mb_b !off job.q1.Wire.sb
-        | Ls_job | Invalidate_job _ | Insert_job _ | Observe_job _ | Rect_job _
-        | Join_job _ ->
-          assert false);
-        off := !off + len)
-      query_jobs;
-    match
-      Service.answer_into sh.sh_service ~n:total ~names:mb.mb_names ~a:mb.mb_a
-        ~b:mb.mb_b ~out:mb.mb_out
-    with
-    | () ->
-      let off = ref 0 in
-      List.iter
-        (fun (job, len) ->
-          let reply =
-            match job.kind with
-            | Query1 -> Wire.Estimate_reply mb.mb_out.(!off)
-            | Query _ -> Wire.Batch_reply (Array.sub mb.mb_out !off len)
-            | Ls_job | Invalidate_job _ | Insert_job _ | Observe_job _ | Rect_job _
-            | Join_job _ ->
-              assert false
-          in
-          off := !off + len;
-          ignore (Atomic.fetch_and_add sh.sh_answered len);
-          complete job reply)
-        query_jobs
-    | exception e ->
-      (* Unreadable snapshot mid-flight: the whole merged call is lost,
-         so every member gets the typed internal error rather than a
-         hung connection. *)
-      let message = Printexc.to_string e in
-      List.iter
-        (fun (job, _) -> complete job (Wire.Error_reply { code = Wire.Internal; message }))
-        query_jobs
-  end
-  else
-    (* Zero-length query jobs are answered before they enqueue, but a
-       batch of them reaching here must still complete (the [total > 0]
-       work above never touches them) or their connections would park in
-       [await_reply] forever. *)
-    List.iter (fun (job, _) -> complete job (Wire.Batch_reply [||])) query_jobs
+(* Adaptive maintenance: reap a finished background rebuild, apply due
+   feedback refreshes, launch the next rebuild.  The caller holds
+   [catalog_m].  An exception from the tick (a snapshot write failing
+   mid-swap) is dropped here: it must neither leave the mutex held nor
+   fail the request that happened to run the tick. *)
+let maintain t =
+  match Service.adaptive_tick t.service with
+  | 0 -> ()
+  | swaps -> ignore (Atomic.fetch_and_add t.s_swaps swaps)
+  | exception _ -> ()
 
-let process_batch_exn t sh ~complete jobs =
+(* Evaluate one admitted request under the catalog mutex, followed by a
+   maintenance tick.  [arrived] is when its frame was decoded: a request
+   that waited for the mutex past the deadline is refused unevaluated.
+   Explicit matches rather than [Fun.protect], so the hot path builds no
+   closures. *)
+let evaluate t c ~arrived incoming =
+  Mutex.lock t.catalog_m;
   if t.config.dispatch_delay_s > 0.0 then Unix.sleepf t.config.dispatch_delay_s;
-  let now = Unix.gettimeofday () in
-  let live =
-    List.filter
-      (fun job ->
-        if t.config.deadline_s > 0.0 && now -. job.enqueued_at > t.config.deadline_s then begin
-          Atomic.incr t.s_timeouts;
-          Telemetry.Metrics.incr t.m_timeouts;
-          complete job
-            (Wire.Error_reply
-               {
-                 code = Wire.Timeout;
-                 message =
-                   Printf.sprintf "request queued %.3fs, past the %.3fs deadline"
-                     (now -. job.enqueued_at) t.config.deadline_s;
-               });
-          false
-        end
-        else true)
-      jobs
+  let waited = Unix.gettimeofday () -. arrived in
+  let reply =
+    if t.config.deadline_s > 0.0 && waited > t.config.deadline_s then begin
+      Atomic.incr t.s_timeouts;
+      Telemetry.Metrics.incr t.m_timeouts;
+      error_reply Wire.Timeout
+        (Printf.sprintf "request waited %.3fs for the catalog, past the %.3fs deadline"
+           waited t.config.deadline_s)
+    end
+    else
+      match answer t c incoming with
+      | reply -> reply
+      | exception e -> error_reply Wire.Internal (Printexc.to_string e)
   in
-  (* Catalog metadata operations run inline; queries are validated, then
-     merged into one Service.answer call. *)
-  let query_jobs =
-    List.filter_map
-      (fun job ->
-        match job.kind with
-        | Ls_job ->
-          complete job (ls_reply sh);
-          None
-        | Invalidate_job name ->
-          (* Caught per job: a persist failure (unreadable snapshot dir,
-             full disk) answers this request Internal and leaves the rest
-             of the batch to run. *)
-          (match Service.invalidate sh.sh_service name with
-          | Ok () -> complete job Wire.Invalidated
-          | Error message ->
-            complete job (Wire.Error_reply { code = Wire.Unknown_entry; message })
-          | exception e ->
-            complete job
-              (Wire.Error_reply { code = Wire.Internal; message = Printexc.to_string e }));
-          None
-        | Insert_job { entry; values } ->
-          (match Service.insert sh.sh_service ~name:entry values with
-          | Ok (sampled, seen) -> complete job (Wire.Inserted { sampled; seen })
-          | Error message ->
-            let code =
-              if
-                Service.adaptive_enabled sh.sh_service
-                && not (Service.mem sh.sh_service entry)
-              then Wire.Unknown_entry
-              else Wire.Bad_request
-            in
-            complete job (Wire.Error_reply { code; message })
-          | exception e ->
-            complete job
-              (Wire.Error_reply { code = Wire.Internal; message = Printexc.to_string e }));
-          None
-        | Observe_job { entry; oa; ob; actual } ->
-          (match Service.observe sh.sh_service ~name:entry ~a:oa ~b:ob ~actual with
-          | Ok refined -> complete job (Wire.Observed refined)
-          | Error message ->
-            let code =
-              if
-                Service.adaptive_enabled sh.sh_service
-                && not (Service.mem sh.sh_service entry)
-              then Wire.Unknown_entry
-              else Wire.Bad_request
-            in
-            complete job (Wire.Error_reply { code; message })
-          | exception e ->
-            complete job
-              (Wire.Error_reply { code = Wire.Internal; message = Printexc.to_string e }));
-          None
-        | Rect_job { entry; rx_lo; rx_hi; ry_lo; ry_hi } ->
-          (* Delegates to the same [Selest.Stored.rect_selectivity] a
-             direct [Multidim.Hist2d] call uses, so the served bits are
-             identical by construction.  A wrong-kind entry is the
-             caller's mistake (Bad_request), an unknown one is the
-             routing's usual typed refusal. *)
-          (match
-             Service.answer_rect sh.sh_service ~name:entry ~x_lo:rx_lo ~x_hi:rx_hi
-               ~y_lo:ry_lo ~y_hi:ry_hi
-           with
-          | Ok v ->
-            Atomic.incr sh.sh_answered;
-            complete job (Wire.Estimate_reply v)
-          | Error message ->
-            let code =
-              if Service.mem sh.sh_service entry then Wire.Bad_request
-              else Wire.Unknown_entry
-            in
-            complete job (Wire.Error_reply { code; message })
-          | exception e ->
-            complete job
-              (Wire.Error_reply { code = Wire.Internal; message = Printexc.to_string e }));
-          None
-        | Join_job { entry; pred } ->
-          (match Service.answer_join sh.sh_service ~name:entry ~pred with
-          | Ok v ->
-            Atomic.incr sh.sh_answered;
-            complete job (Wire.Estimate_reply v)
-          | Error message ->
-            let code =
-              if Service.mem sh.sh_service entry then Wire.Bad_request
-              else Wire.Unknown_entry
-            in
-            complete job (Wire.Error_reply { code; message })
-          | exception e ->
-            complete job
-              (Wire.Error_reply { code = Wire.Internal; message = Printexc.to_string e }));
-          None
-        | Query1 ->
-          if not (Service.mem sh.sh_service job.q1_entry) then begin
-            complete job
-              (Wire.Error_reply
-                 {
-                   code = Wire.Unknown_entry;
-                   message = Printf.sprintf "unknown catalog entry %S" job.q1_entry;
-                 });
-            None
-          end
-          else begin
-            let spec_conflict =
-              job.q1_spec <> ""
-              &&
-              match Service.info sh.sh_service job.q1_entry with
-              | Some i -> i.Service.spec <> job.q1_spec
-              | None -> false
-            in
-            if spec_conflict then begin
-              complete job
-                (Wire.Error_reply
-                   {
-                     code = Wire.Spec_mismatch;
-                     message =
-                       Printf.sprintf "entry was not built with spec %S" job.q1_spec;
-                   });
-              None
-            end
-            else Some (job, 1)
-          end
-        | Query { triples } -> (
-          match
-            Array.find_opt
-              (fun (name, _, _) -> not (Service.mem sh.sh_service name))
-              triples
-          with
-          | Some (name, _, _) ->
-            complete job
-              (Wire.Error_reply
-                 {
-                   code = Wire.Unknown_entry;
-                   message = Printf.sprintf "unknown catalog entry %S" name;
-                 });
-            None
-          | None -> Some (job, Array.length triples)))
-      live
-  in
-  run_queries sh ~complete query_jobs
-
-(* Every completion of the batch goes through a recording wrapper so the
-   error backstop knows which jobs were already answered without reading
-   [job.reply] — by the time [process_batch_exn] raises, a completed job
-   may have been reset and re-enqueued by its connection thread, and an
-   unlocked [reply = None] check would answer the *next* request with
-   this batch's error while the queued copy double-completes it later. *)
-let process_batch t sh jobs =
-  let completed = ref [] in
-  let complete_job job resp =
-    completed := job :: !completed;
-    complete job resp
-  in
-  try process_batch_exn t sh ~complete:complete_job jobs
-  with e ->
-    let message = Printexc.to_string e in
-    List.iter
-      (fun job ->
-        if not (List.memq job !completed) then
-          complete job (Wire.Error_reply { code = Wire.Internal; message }))
-      jobs
-
-let shard_down_reply sh =
-  Wire.Error_reply
-    {
-      code = Wire.Internal;
-      message = Printf.sprintf "shard %d dispatcher is down" sh.sh_id;
-    }
-
-(* The body of a shard's dispatcher domain.  On the way out — a normal
-   stop, or an escaped exception (the per-batch backstop makes that
-   nearly impossible) — the shard is marked down and anything still
-   queued is failed: enqueue checks [sh_down] under [sh_m] before
-   pushing, so every job either reaches this sweep or is refused at
-   enqueue, and no connection can park forever on a dead shard. *)
-let dispatcher_domain t sh () =
-  (try
-     (* Adaptive maintenance interleaves with batches: a tick after every
-        dispatch, plus one on each wake with an empty queue — the rebuild
-        worker pokes [sh_c] when its result is ready, so the swap lands
-        promptly even on an idle shard.  [wake] runs on the worker thread
-        and only touches the shard's mutex/condition. *)
-     let wake () =
-       Mutex.lock sh.sh_m;
-       Condition.broadcast sh.sh_c;
-       Mutex.unlock sh.sh_m
-     in
-     let maintain () =
-       let swaps = Service.adaptive_tick ~wake sh.sh_service in
-       if swaps > 0 then ignore (Atomic.fetch_and_add sh.sh_swaps swaps)
-     in
-     let rec loop () =
-       match next_jobs t sh with
-       | [] ->
-         if Atomic.get sh.sh_stop then
-           (* Orderly retirement: finish (don't abandon) any in-flight
-              rebuild so its swap is persisted before the shard goes
-              down. *)
-           Service.adaptive_drain sh.sh_service
-         else begin
-           (* Woken with nothing queued: a rebuild result is (probably)
-              ready. *)
-           maintain ();
-           loop ()
-         end
-       | jobs ->
-         process_batch t sh jobs;
-         maintain ();
-         loop ()
-     in
-     loop ()
-   with _ -> ());
-  Mutex.lock sh.sh_m;
-  Atomic.set sh.sh_down true;
-  let stranded = ref [] in
-  while not (Queue.is_empty sh.sh_queue) do
-    stranded := Queue.pop sh.sh_queue :: !stranded
-  done;
-  Mutex.unlock sh.sh_m;
-  List.iter (fun job -> complete job (shard_down_reply sh)) (List.rev !stranded)
-
-(* Fault-injection hook (tests; see the kill-one-shard drain test):
-   stop shard [i]'s dispatcher as if it had died.  Queued jobs drain
-   first ([next_jobs] keeps handing out work while the queue is
-   non-empty), then the shard goes down: stranded stragglers and all
-   later requests routed to it get the typed [Internal] refusal while
-   every other shard keeps serving. *)
-let kill_shard_dispatcher t i =
-  if i < 0 || i >= Array.length t.shards then
-    invalid_arg "Server.Engine.kill_shard_dispatcher: no such shard";
-  let sh = t.shards.(i) in
-  Mutex.lock sh.sh_m;
-  Atomic.set sh.sh_stop true;
-  Condition.broadcast sh.sh_c;
-  Mutex.unlock sh.sh_m;
-  match sh.sh_domain with
-  | Some d ->
-    Domain.join d;
-    sh.sh_domain <- None
-  | None ->
-    (* [serve] not running: nothing to join, but mark the shard down so
-       routing refuses it. *)
-    Atomic.set sh.sh_down true
-
-(* ---------------- routing ---------------- *)
-
-(* Per-connection routing state: one reusable job record per shard, so
-   a request that fans out across shards needs no fresh synchronization
-   objects — only its split arrays. *)
-type conn_state = { jobs : job array }
-
-let fresh_job () =
-  {
-    kind = Ls_job;
-    enqueued_at = 0.0;
-    job_m = Mutex.create ();
-    job_c = Condition.create ();
-    reply = None;
-    q1_entry = "";
-    q1_spec = "";
-    q1 = { Wire.sa = 0.0; sb = 0.0 };
-  }
-
-let send w fd response = Wire.write_response w fd response
-
-let await_reply job =
-  Mutex.lock job.job_m;
-  while job.reply = None do
-    Condition.wait job.job_c job.job_m
-  done;
-  let r = Option.get job.reply in
-  Mutex.unlock job.job_m;
-  r
-
-(* Reset the connection's shard-[i] job in place (the dispatcher
-   finished with it before the previous [await_reply] returned) and park
-   it on the shard's queue — unless the shard is down, in which case the
-   job completes immediately with the typed refusal. *)
-let park sh job =
-  job.enqueued_at <- Unix.gettimeofday ();
-  job.reply <- None;
-  Mutex.lock sh.sh_m;
-  if Atomic.get sh.sh_down then begin
-    Mutex.unlock sh.sh_m;
-    complete job (shard_down_reply sh)
-  end
-  else begin
-    Queue.push job sh.sh_queue;
-    Condition.broadcast sh.sh_c;
-    Mutex.unlock sh.sh_m
-  end;
-  job
-
-let enqueue t cs shard_idx kind =
-  let sh = t.shards.(shard_idx) in
-  let job = cs.jobs.(shard_idx) in
-  job.kind <- kind;
-  park sh job
-
-(* The hot enqueue: the decoded fields move from the connection's wire
-   scratch into the job record field-by-field (string refs and
-   float-record stores — no request value, no closure), so parking a
-   single estimate allocates nothing. *)
-let enqueue_estimate t cs shard_idx (sc : Wire.scratch) =
-  let sh = t.shards.(shard_idx) in
-  let job = cs.jobs.(shard_idx) in
-  job.kind <- Query1;
-  job.q1_entry <- sc.Wire.s_entry;
-  job.q1_spec <- sc.Wire.s_spec;
-  job.q1.Wire.sa <- sc.Wire.s_q.Wire.sa;
-  job.q1.Wire.sb <- sc.Wire.s_q.Wire.sb;
-  park sh job
-
-let shard_of t name = Service.shard_of_name ~shards:(Array.length t.shards) name
-
-(* Split a multi-entry batch across the shards that own its entries,
-   await every sub-reply, and reassemble in request order.  Each
-   sub-job's queries keep their relative order, and query [i]'s answer
-   is taken from its shard's reply at that shard's next unconsumed
-   position — scatter by construction, so the merged reply is
-   bit-identical to what a single dispatcher would have produced.  If
-   any shard answered an error, the lowest-numbered shard's error
-   stands for the whole frame (deterministic, though the reported entry
-   may differ from the single-shard path, which scans in request
-   order). *)
-let route_batch t cs triples =
-  let nshards = Array.length t.shards in
-  let n = Array.length triples in
-  let shard_of_query = Array.map (fun (name, _, _) -> shard_of t name) triples in
-  let counts = Array.make nshards 0 in
-  Array.iter (fun s -> counts.(s) <- counts.(s) + 1) shard_of_query;
-  let involved = ref [] in
-  for s = nshards - 1 downto 0 do
-    if counts.(s) > 0 then involved := s :: !involved
-  done;
-  match !involved with
-  | [ s ] ->
-    (* Single-shard frame (the common case, and every frame when
-       [shards = 1]): no splitting, no scatter — the job carries the
-       client's array as-is. *)
-    await_reply (enqueue t cs s (Query { triples }))
-  | involved ->
-    let subs = Array.make nshards [||] in
-    List.iter
-      (fun s -> subs.(s) <- Array.make counts.(s) ("", 0.0, 0.0))
-      involved;
-    let cursors = Array.make nshards 0 in
-    for i = 0 to n - 1 do
-      let s = shard_of_query.(i) in
-      subs.(s).(cursors.(s)) <- triples.(i);
-      cursors.(s) <- cursors.(s) + 1
-    done;
-    (* Enqueue every sub-job before awaiting any: the shards evaluate
-       their slices concurrently. *)
-    List.iter
-      (fun s ->
-        ignore (enqueue t cs s (Query { triples = subs.(s) })))
-      involved;
-    let replies = List.map (fun s -> (s, await_reply cs.jobs.(s))) involved in
-    let error =
-      List.find_map
-        (fun (_, r) -> match r with Wire.Error_reply _ -> Some r | _ -> None)
-        replies
-    in
-    (match error with
-    | Some e -> e
-    | None ->
-      let out = Array.make n 0.0 in
-      Array.fill cursors 0 nshards 0;
-      List.iter
-        (fun (s, r) ->
-          match r with
-          | Wire.Batch_reply xs ->
-            (* Scatter: walk the request in order, consuming this
-               shard's answers at the positions it owns. *)
-            let k = ref 0 in
-            for i = 0 to n - 1 do
-              if shard_of_query.(i) = s then begin
-                out.(i) <- xs.(!k);
-                incr k
-              end
-            done
-          | _ -> ())
-        replies;
-      Wire.Batch_reply out)
-
-(* [ls] must describe the whole catalog, so it fans out to every shard
-   and merges the per-shard listings (each sorted; entry names are
-   disjoint across shards, so a plain sort of the concatenation is the
-   global sorted listing). *)
-let route_ls t cs =
-  let nshards = Array.length t.shards in
-  for s = 0 to nshards - 1 do
-    ignore (enqueue t cs s Ls_job)
-  done;
-  let replies = List.init nshards (fun s -> await_reply cs.jobs.(s)) in
-  let error =
-    List.find_map
-      (fun r -> match r with Wire.Error_reply _ -> Some r | _ -> None)
-      replies
-  in
-  match error with
-  | Some e -> e
-  | None ->
-    Wire.Ls_reply
-      (List.concat_map
-         (fun r -> match r with Wire.Ls_reply es -> es | _ -> [])
-         replies
-      |> List.sort (fun (a : Wire.entry_info) b -> String.compare a.name b.name))
-
-let route t cs req =
-  match req with
-  | Wire.Ls -> if Array.length t.shards = 1 then await_reply (enqueue t cs 0 Ls_job) else route_ls t cs
-  | Wire.Invalidate name -> await_reply (enqueue t cs (shard_of t name) (Invalidate_job name))
-  | Wire.Estimate { entry; a; b; spec } ->
-    (* Only reachable for an [Estimate] arriving as a [Decoded] value
-       (e.g. via tests calling [decode_request]); the serving read loop
-       takes the scratch path through [enqueue_estimate] instead. *)
-    let shard_idx = shard_of t entry in
-    let job = cs.jobs.(shard_idx) in
-    job.kind <- Query1;
-    job.q1_entry <- entry;
-    job.q1_spec <- spec;
-    job.q1.Wire.sa <- a;
-    job.q1.Wire.sb <- b;
-    await_reply (park t.shards.(shard_idx) job)
-  | Wire.Batch_estimate triples -> route_batch t cs triples
-  | Wire.Insert { entry; values } ->
-    await_reply (enqueue t cs (shard_of t entry) (Insert_job { entry; values }))
-  | Wire.Observe { entry; a; b; actual } ->
-    await_reply
-      (enqueue t cs (shard_of t entry) (Observe_job { entry; oa = a; ob = b; actual }))
-  | Wire.Estimate_rect { entry; x_lo; x_hi; y_lo; y_hi } ->
-    await_reply
-      (enqueue t cs (shard_of t entry)
-         (Rect_job { entry; rx_lo = x_lo; rx_hi = x_hi; ry_lo = y_lo; ry_hi = y_hi }))
-  | Wire.Estimate_join { entry; pred } ->
-    await_reply (enqueue t cs (shard_of t entry) (Join_job { entry; pred }))
-  | Wire.Ping -> assert false
+  maintain t;
+  Mutex.unlock t.catalog_m;
+  reply
 
 (* ---------------- connection threads ---------------- *)
 
-let handle_request t w fd cs req =
-  match req with
-  | Wire.Ping -> send w fd Wire.Pong
-  | _ when Atomic.get t.draining ->
-    Atomic.incr t.s_refused_draining;
-    send w fd (Wire.Error_reply { code = Wire.Draining; message = "server is draining" })
-  | Wire.Batch_estimate [||] ->
-    (* A legal frame with nothing to evaluate.  Answered inline: enqueued,
-       its zero-length job would contribute nothing to a dispatcher's
-       merged call and could otherwise park forever. *)
-    send w fd (Wire.Batch_reply [||])
-  | req ->
-    (* Admission is the increment itself: check-then-increment would let
-       two threads race past the limit together.  One slot per request,
-       however many shards its queries fan out to. *)
+(* Admission, evaluation, reply.  The slot is taken before the drain
+   flag is read, so once [serve] has seen the flag with [inflight = 0],
+   every later request is refused without touching the catalog; it is
+   released after the reply is written, which is what lets the drain
+   sequence equate "inflight = 0" with "every admitted request was
+   answered". *)
+let handle t c ~arrived incoming =
+  match incoming with
+  | Wire.Decoded Wire.Ping -> Wire.write_response c.w c.fd Wire.Pong
+  | _ -> (
     let prev = Atomic.fetch_and_add t.inflight 1 in
-    if prev >= t.config.max_inflight then begin
+    let reply =
+      if Atomic.get t.draining then begin
+        Atomic.incr t.s_refused_draining;
+        error_reply Wire.Draining "server is draining"
+      end
+      else if prev >= t.config.max_inflight then begin
+        Atomic.incr t.s_overloaded;
+        Telemetry.Metrics.incr t.m_overloaded;
+        error_reply Wire.Overloaded
+          (Printf.sprintf "%d requests in flight (limit %d)" prev t.config.max_inflight)
+      end
+      else evaluate t c ~arrived incoming
+    in
+    match Wire.write_response c.w c.fd reply with
+    | () -> Atomic.decr t.inflight
+    | exception e ->
       Atomic.decr t.inflight;
-      Atomic.incr t.s_overloaded;
-      Telemetry.Metrics.incr t.m_overloaded;
-      send w fd
-        (Wire.Error_reply
-           {
-             code = Wire.Overloaded;
-             message =
-               Printf.sprintf "%d requests in flight (limit %d)" prev
-                 t.config.max_inflight;
-           })
-    end
-    else
-      (* The decrement runs after the reply is written (or the write
-         fails), which is what lets the drain sequence equate
-         "inflight = 0" with "every accepted request was answered". *)
-      Fun.protect
-        ~finally:(fun () -> Atomic.decr t.inflight)
-        (fun () -> send w fd (route t cs req))
-
-(* [handle_request] specialized to the scratch-decoded single estimate.
-   Same admission/draining protocol, but the unwind is an explicit
-   match rather than [Fun.protect]: the hot path allocates neither the
-   [~finally] closure nor the body thunk. *)
-let handle_estimate t w fd cs sc =
-  if Atomic.get t.draining then begin
-    Atomic.incr t.s_refused_draining;
-    send w fd (Wire.Error_reply { code = Wire.Draining; message = "server is draining" })
-  end
-  else begin
-    let prev = Atomic.fetch_and_add t.inflight 1 in
-    if prev >= t.config.max_inflight then begin
-      Atomic.decr t.inflight;
-      Atomic.incr t.s_overloaded;
-      Telemetry.Metrics.incr t.m_overloaded;
-      send w fd
-        (Wire.Error_reply
-           {
-             code = Wire.Overloaded;
-             message =
-               Printf.sprintf "%d requests in flight (limit %d)" prev
-                 t.config.max_inflight;
-           })
-    end
-    else
-      match
-        send w fd (await_reply (enqueue_estimate t cs (shard_of t sc.Wire.s_entry) sc))
-      with
-      | () -> Atomic.decr t.inflight
-      | exception e ->
-        Atomic.decr t.inflight;
-        raise e
-  end
+      raise e)
 
 let conn_loop t fd =
-  let w = Wire.create_writer () in
-  let r = Wire.create_reader () in
-  let sc = Wire.create_scratch () in
-  let cs = { jobs = Array.init (Array.length t.shards) (fun _ -> fresh_job ()) } in
+  let c =
+    {
+      fd;
+      w = Wire.create_writer ();
+      r = Wire.create_reader ();
+      sc = Wire.create_scratch ();
+      names = Array.make 16 "";
+      qa = Array.make 16 0.0;
+      qb = Array.make 16 0.0;
+      out = Array.make 16 0.0;
+    }
+  in
   let rec loop () =
-    let len = Wire.read_frame_into r fd in
+    let len = Wire.read_frame_into c.r fd in
     if len = -1 then () (* clean EOF at a frame boundary *)
     else if len = -2 then begin
       (* The stream is no longer frame-aligned: reply if possible, then
          hang up. *)
       Atomic.incr t.s_protocol_errors;
-      try
-        send w fd
-          (Wire.Error_reply { code = Wire.Bad_request; message = Wire.reader_error r })
+      try Wire.write_response c.w fd (error_reply Wire.Bad_request (Wire.reader_error c.r))
       with _ -> ()
     end
     else
-      match Wire.decode_request_scratch (Wire.reader_buffer r) ~len sc with
+      match Wire.decode_request_scratch (Wire.reader_buffer c.r) ~len c.sc with
       | Error message ->
         (* Frame boundaries are intact, so the connection survives a
            malformed payload. *)
         Atomic.incr t.s_protocol_errors;
-        send w fd (Wire.Error_reply { code = Wire.Bad_request; message });
+        Wire.write_response c.w fd (error_reply Wire.Bad_request message);
         loop ()
-      | Ok Wire.Fast_estimate ->
+      | Ok incoming ->
         Atomic.incr t.s_requests;
         Telemetry.Metrics.incr t.m_requests;
-        let t0 = Unix.gettimeofday () in
-        handle_estimate t w fd cs sc;
-        Telemetry.Metrics.observe_s t.m_request_seconds (Unix.gettimeofday () -. t0);
-        loop ()
-      | Ok (Wire.Decoded req) ->
-        Atomic.incr t.s_requests;
-        Telemetry.Metrics.incr t.m_requests;
-        let t0 = Unix.gettimeofday () in
-        handle_request t w fd cs req;
-        Telemetry.Metrics.observe_s t.m_request_seconds (Unix.gettimeofday () -. t0);
+        let arrived = Unix.gettimeofday () in
+        handle t c ~arrived incoming;
+        Telemetry.Metrics.observe_s t.m_request_seconds (Unix.gettimeofday () -. arrived);
         loop ()
   in
   try loop () with
@@ -1048,9 +470,13 @@ let conn_thread t id fd () =
 
 (* ---------------- serve ---------------- *)
 
+(* Each pass also runs a maintenance tick, so a background rebuild
+   lands within [tick_s] of finishing even when no request arrives.
+   [try_lock]: accepting must never wait behind an evaluation, and a
+   request holding the mutex ticks itself when it finishes. *)
 let accept_loop t =
   while not (Atomic.get t.draining) do
-    match Unix.select [ t.listen_fd ] [] [] t.config.tick_s with
+    (match Unix.select [ t.listen_fd ] [] [] t.config.tick_s with
     | [], _, _ -> ()
     | _ :: _, _, _ -> (
       match Unix.accept t.listen_fd with
@@ -1063,23 +489,18 @@ let accept_loop t =
         Hashtbl.replace t.conns id (fd, th);
         Mutex.unlock t.conns_m
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ())
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    if Mutex.try_lock t.catalog_m then begin
+      maintain t;
+      Mutex.unlock t.catalog_m
+    end
   done
 
-let quiesced t =
-  let queued =
-    Array.exists
-      (fun sh ->
-        Mutex.lock sh.sh_m;
-        let q = not (Queue.is_empty sh.sh_queue) in
-        Mutex.unlock sh.sh_m;
-        q)
-      t.shards
-  in
-  (not queued) && Atomic.get t.inflight = 0
+(* Bounds how long a drain waits for chatty clients to go quiet: 1 s at
+   the default [tick_s]. *)
+let linger_ticks = 50
 
 let serve t =
-  Array.iter (fun sh -> sh.sh_domain <- Some (Domain.spawn (dispatcher_domain t sh))) t.shards;
   accept_loop t;
   (* Drain, phase 1: stop admitting connections.  New connects are
      refused at the socket layer from here on. *)
@@ -1087,28 +508,31 @@ let serve t =
   (match t.address with
   | Wire.Unix_socket path -> ( try Sys.remove path with Sys_error _ -> ())
   | Wire.Tcp _ -> ());
-  (* Phase 2: every accepted request finishes and its reply is written
-     (connection threads decrement [inflight] after the write; requests
-     arriving during this window get the typed Draining reply). *)
-  while not (quiesced t) do
-    Thread.delay 0.005
-  done;
-  (* Phase 3: retire the shard dispatchers, then unblock idle readers. *)
-  Array.iter
-    (fun sh ->
-      Mutex.lock sh.sh_m;
-      Atomic.set sh.sh_stop true;
-      Condition.broadcast sh.sh_c;
-      Mutex.unlock sh.sh_m)
-    t.shards;
-  Array.iter
-    (fun sh ->
-      match sh.sh_domain with
-      | Some d ->
-        Domain.join d;
-        sh.sh_domain <- None
-      | None -> ())
-    t.shards;
+  (* Phase 2: every admitted request finishes and its reply is written
+     (requests arriving during this window get the typed Draining
+     reply). *)
+  let quiesce () =
+    while Atomic.get t.inflight > 0 do
+      Thread.delay 0.005
+    done
+  in
+  quiesce ();
+  (* Phase 3: linger until the connections go quiet — a [tick_s] with no
+     request decoded, for at most [linger_ticks] ticks — so a client
+     still sending gets its typed Draining refusals rather than a hangup
+     mid-exchange, and let the last refusals be written. *)
+  let rec linger n =
+    let seen = Atomic.get t.s_requests in
+    Thread.delay t.config.tick_s;
+    if n > 1 && Atomic.get t.s_requests <> seen then linger (n - 1)
+  in
+  linger linger_ticks;
+  quiesce ();
+  (* Phase 4: finish (don't abandon) any in-flight adaptive rebuild, so
+     its swap is persisted, then unblock idle readers. *)
+  Mutex.lock t.catalog_m;
+  (try Service.adaptive_drain t.service with _ -> ());
+  Mutex.unlock t.catalog_m;
   Mutex.lock t.conns_m;
   let remaining = Hashtbl.fold (fun _ conn acc -> conn :: acc) t.conns [] in
   List.iter

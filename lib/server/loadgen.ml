@@ -108,7 +108,7 @@ type worker_out = {
   mutable w_ok : int;
   mutable w_errors : (string * int) list;
   mutable w_classed : (string * float) list;
-      (** per-exchange (class, latency) when the caller classifies *)
+      (** per-exchange (kind, latency) of a mixed run *)
 }
 
 let record_error out cls =
@@ -137,8 +137,7 @@ let merge_groups outs =
   Hashtbl.fold (fun cls samples acc -> (cls, group_of samples) :: acc) by_class []
   |> List.sort compare
 
-let run ?(client_config = Client.default_config) ?(batch = 1) ?classify ~connections ~address
-    requests =
+let run ?(client_config = Client.default_config) ?(batch = 1) ~connections ~address requests =
   if connections < 1 then invalid_arg "Server.Loadgen.run: connections < 1";
   if batch < 1 then invalid_arg "Server.Loadgen.run: batch < 1";
   let total = Array.length requests in
@@ -182,9 +181,6 @@ let run ?(client_config = Client.default_config) ?(batch = 1) ?classify ~connect
          | Error e -> record_error out (error_class e));
       let dt = Unix.gettimeofday () -. t0 in
       out.w_latencies <- dt :: out.w_latencies;
-      (match classify with
-      | None -> ()
-      | Some f -> out.w_classed <- (f !pos, dt) :: out.w_classed);
       Telemetry.Metrics.add m_queries n;
       Telemetry.Metrics.observe_s m_latency dt;
       pos := !pos + n
@@ -228,7 +224,7 @@ let run ?(client_config = Client.default_config) ?(batch = 1) ?classify ~connect
     max_ms = (if exchanges > 0 then ms latencies.(exchanges - 1) else Float.nan);
     errors;
     answers;
-    groups = (match classify with None -> [] | Some _ -> merge_groups outs);
+    groups = [];
   }
 
 (* The mixed-kind closed loop: one exchange per request, dispatched by

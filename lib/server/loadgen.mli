@@ -21,16 +21,14 @@
     Latency is measured per exchange — per query with [batch = 1], per
     frame otherwise — and summarized with exact percentiles over the
     merged samples.  Methodology and interpretation guidance live in
-    [docs/SERVING.md]; the sharded-serving walkthrough that uses both
-    modes is [docs/SHARDING.md]. *)
+    [docs/SERVING.md]. *)
 
 type group = {
   g_n : int;  (** exchanges in this class *)
   g_p50_ms : float;  (** exact median latency of the class *)
   g_p99_ms : float;  (** exact 99th-percentile latency of the class *)
 }
-(** Latency summary of one request class (see the [classify] argument
-    of {!run}). *)
+(** Latency summary of one request kind (see {!run_mixed}). *)
 
 type report = {
   connections : int;  (** worker threads = concurrent connections *)
@@ -52,9 +50,8 @@ type report = {
           where the query failed — lets callers verify bit-identity
           against a direct [Catalog.Service.answer] call *)
   groups : (string * group) list;
-      (** per-class latency summaries, sorted by class name; empty
-          unless [classify] was passed to {!run}.  The sharded bench
-          classifies by owning shard to report per-shard p99. *)
+      (** per-kind latency summaries of a {!run_mixed} run, sorted by
+          kind name; empty for {!run} *)
 }
 
 val synthetic_requests :
@@ -94,7 +91,6 @@ val synthetic_mixed_requests :
 val run :
   ?client_config:Client.config ->
   ?batch:int ->
-  ?classify:(int -> string) ->
   connections:int ->
   address:Wire.address ->
   (string * float * float) array ->
@@ -102,11 +98,7 @@ val run :
 (** Drive the request array against the server and block until every
     worker finishes.  [batch] groups consecutive queries of a worker's
     slice into one [batch_estimate] frame (default [1]: one [estimate]
-    per exchange).  [classify], given the index of an exchange's first
-    request, names its class; per-class percentiles are then reported
-    in [groups] (e.g. classify by
-    [Catalog.Service.shard_of_name ~shards] of the request's entry to
-    get per-shard latency without server cooperation).  Each worker's
+    per exchange).  Each worker's
     retry jitter is seeded from [client_config.seed] plus its index, so
     runs are reproducible.  Counts also flow into the [Telemetry]
     registry as [loadgen_*] metrics when telemetry is enabled.

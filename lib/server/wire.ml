@@ -558,15 +558,6 @@ let decode_response payload =
 
 (* ---------------- frame I/O ---------------- *)
 
-let really_write fd bytes =
-  let len = Bytes.length bytes in
-  let written = ref 0 in
-  while !written < len do
-    let n = Unix.write fd bytes !written (len - !written) in
-    if n = 0 then raise (Unix.Unix_error (Unix.EPIPE, "write", ""));
-    written := !written + n
-  done
-
 (* A peer that hangs up mid-write must surface as EPIPE on that write —
    the caller's per-connection error path — not as a process-killing
    SIGPIPE.  Process-global, so done once; both endpoints call this
@@ -580,14 +571,6 @@ let set_frame_header frame len =
   Bytes.set frame 1 (Char.chr ((len lsr 16) land 0xff));
   Bytes.set frame 2 (Char.chr ((len lsr 8) land 0xff));
   Bytes.set frame 3 (Char.chr (len land 0xff))
-
-let write_frame fd payload =
-  let len = String.length payload in
-  if len > max_frame_bytes then invalid_arg "Server.Wire.write_frame: payload too large";
-  let frame = Bytes.create (4 + len) in
-  set_frame_header frame len;
-  Bytes.blit_string payload 0 frame 4 len;
-  really_write fd frame
 
 (* A per-connection frame writer: one Buffer for encoding, one byte
    buffer for the framed bytes, both reused (and grown geometrically)
@@ -629,37 +612,6 @@ let write_request w fd req =
   Buffer.clear w.wbuf;
   encode_request_into w.wbuf req;
   write_encoded w fd
-
-(* Reads exactly [n] bytes; [`Eof k] reports how many arrived before the
-   peer closed. *)
-let really_read fd n =
-  let buf = Bytes.create n in
-  let rec go off =
-    if off = n then `Ok (Bytes.unsafe_to_string buf)
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> `Eof off
-      | k -> go (off + k)
-  in
-  go 0
-
-let read_frame fd =
-  match really_read fd 4 with
-  | `Eof 0 -> Ok None
-  | `Eof _ -> Error "connection closed inside a frame header"
-  | `Ok header ->
-    let len =
-      (Char.code header.[0] lsl 24)
-      lor (Char.code header.[1] lsl 16)
-      lor (Char.code header.[2] lsl 8)
-      lor Char.code header.[3]
-    in
-    if len > max_frame_bytes then Error (Printf.sprintf "frame of %d bytes exceeds limit" len)
-    else if len < 2 then Error (Printf.sprintf "frame of %d bytes is below the 2-byte header" len)
-    else (
-      match really_read fd len with
-      | `Eof _ -> Error "connection closed inside a frame body"
-      | `Ok payload -> Ok (Some payload))
 
 (* A per-connection frame reader, the read-side twin of [writer]: a
    fixed 4-byte header buffer and a payload buffer reused (and grown

@@ -37,9 +37,9 @@ val version : int
     except the version byte itself. *)
 
 val max_frame_bytes : int
-(** Upper bound on a frame payload (16 MiB).  {!write_frame} refuses
-    larger payloads; {!read_frame} rejects larger headers without
-    allocating. *)
+(** Upper bound on a frame payload (16 MiB).  A {!writer} refuses
+    larger payloads; {!read_frame_into} rejects larger headers without
+    reading their bodies. *)
 
 type request =
   | Ping  (** liveness probe; answered without touching the catalog *)
@@ -155,8 +155,8 @@ val create_writer : unit -> writer
 
 val write_response : writer -> Unix.file_descr -> response -> unit
 (** Encode into the writer's buffers and write one framed response,
-    looping until every byte is out.  Equivalent on the wire to
-    [write_frame fd (encode_response resp)].
+    looping until every byte is out: a 4-byte big-endian payload length,
+    then the {!encode_response} payload.
     @raise Invalid_argument if the payload exceeds {!max_frame_bytes}.
     @raise Unix.Unix_error on I/O failure (e.g. [EPIPE]). *)
 
@@ -168,19 +168,6 @@ val ignore_sigpipe : unit -> unit
     a peer hanging up mid-write surfaces as [EPIPE] on that write — a
     per-connection error — instead of killing the process.  {!Engine}
     and {!Client} call it before their first socket I/O. *)
-
-val write_frame : Unix.file_descr -> string -> unit
-(** Write one length-prefixed frame, looping until every byte is out.
-    @raise Invalid_argument if the payload exceeds {!max_frame_bytes}.
-    @raise Unix.Unix_error on I/O failure (e.g. [EPIPE]). *)
-
-val read_frame : Unix.file_descr -> (string option, string) result
-(** Read one frame: [Ok (Some payload)], or [Ok None] on a clean EOF at a
-    frame boundary, or [Error] on a truncated or oversized frame.
-    Allocates a fresh payload string per frame — fine for clients; the
-    serving engine reads through a {!reader} instead.
-    @raise Unix.Unix_error on I/O failure, including [EAGAIN] when the
-    descriptor carries a receive timeout that expires. *)
 
 type reader
 (** A per-connection frame reader, the read-side twin of {!writer}: a
@@ -197,8 +184,9 @@ val read_frame_into : reader -> Unix.file_descr -> int
     EOF at a frame boundary; [-2] on a truncated or oversized frame,
     with the message in {!reader_error}.  The integer signalling (rather
     than a result value) is what keeps the steady-state read loop
-    allocation-free.  Wire-equivalent to {!read_frame}.
-    @raise Unix.Unix_error on I/O failure, as {!read_frame}. *)
+    allocation-free.
+    @raise Unix.Unix_error on I/O failure, including [EAGAIN] when the
+    descriptor carries a receive timeout that expires. *)
 
 val reader_buffer : reader -> Bytes.t
 (** The payload buffer; only the first [len] bytes of the last

@@ -474,141 +474,46 @@ let test_build_errors () =
   | Ok _ -> Alcotest.fail "rebuild of unknown entry accepted");
   check Alcotest.int "failed builds left no entries" 0 (List.length (Service.names svc))
 
-(* ---------------- Sharding ---------------- *)
+(* ---------------- legacy layout ---------------- *)
 
-let contains_sub hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let found = ref false in
-  for i = 0 to hl - nl do
-    if String.sub hay i nl = needle then found := true
-  done;
-  !found
-
-(* Answer each request through the shard that owns its entry — the same
-   routing the serving engine performs. *)
-let sharded_answer services reqs =
-  let shards = Array.length services in
-  Array.map
-    (fun ((name, _, _) as req) ->
-      (Service.answer services.(Service.shard_of_name ~shards name) [| req |]).(0))
-    reqs
-
-let test_shard_of_name_stable () =
-  (* Pinned values: the hash (FNV-1a 64) decides the on-disk layout, so
-     a change here is a breaking format change, not a refactor. *)
-  check Alcotest.int "orders/amount @ 4" 1 (Service.shard_of_name ~shards:4 "orders/amount");
-  check Alcotest.int "users/age @ 4" 3 (Service.shard_of_name ~shards:4 "users/age");
-  check Alcotest.int "users/age @ 3" 2 (Service.shard_of_name ~shards:3 "users/age");
-  check Alcotest.int "shards=1 is always shard 0" 0
-    (Service.shard_of_name ~shards:1 "anything at all");
-  List.iter
-    (fun name ->
-      let s = Service.shard_of_name ~shards:5 name in
-      check Alcotest.bool (name ^ " in range") true (s >= 0 && s < 5))
-    [ "a"; ""; "orders/amount"; "weird name %2F" ]
-
-let test_sharded_migration_round_trip () =
-  let dir = fresh_dir () in
-  let svc, _ = Service.open_dir dir in
+(* A directory last served by the former hash-sharded server keeps its
+   snapshots in shard-<i>/ subdirectories.  Opening it moves them back
+   flat — including an interrupted write, which is then swept and
+   reported — removes the emptied subdirectories, and serves the same
+   bits. *)
+let test_legacy_layout_opens_flat () =
+  let flat = fresh_dir () in
+  let svc, _ = Service.open_dir flat in
   build_two svc;
   let expected = Service.answer svc requests in
-  (* v1 flat -> 4 shards: every snapshot lands in the subdirectory of
-     the shard that owns its name, and nothing is left flat. *)
-  let services4, skipped = Service.open_sharded ~shards:4 dir in
-  check Alcotest.int "migration to 4 shards skips nothing" 0 (List.length skipped);
-  List.iter
-    (fun name ->
-      let owner = Service.shard_of_name ~shards:4 name in
-      let p =
-        Filename.concat (Filename.concat dir (Service.shard_dir_name owner))
-          (Snapshot.file_name name)
-      in
-      check Alcotest.bool (name ^ " in its shard dir") true (Sys.file_exists p);
-      check Alcotest.bool (name ^ " gone from the flat dir") false
-        (Sys.file_exists (Filename.concat dir (Snapshot.file_name name))))
-    [ "orders/amount"; "users/age" ];
-  let got4 = sharded_answer services4 requests in
-  Array.iteri
-    (fun i x ->
-      check Alcotest.bool (Printf.sprintf "4-shard answer %d bit-identical" i) true
-        (Int64.bits_of_float x = Int64.bits_of_float expected.(i)))
-    got4;
-  (* 4 shards -> 2 shards: re-partition in place. *)
-  let services2, skipped = Service.open_sharded ~shards:2 dir in
-  check Alcotest.int "re-sharding 4 -> 2 skips nothing" 0 (List.length skipped);
-  check Alcotest.bool "vacated shard dirs removed" false
-    (Sys.file_exists (Filename.concat dir (Service.shard_dir_name 3)));
-  let got2 = sharded_answer services2 requests in
-  Array.iteri
-    (fun i x ->
-      check Alcotest.bool (Printf.sprintf "2-shard answer %d bit-identical" i) true
-        (Int64.bits_of_float x = Int64.bits_of_float expected.(i)))
-    got2;
-  (* 2 shards -> 1: back to the v1 flat layout, bit-identical snapshots. *)
-  let services1, skipped = Service.open_sharded ~shards:1 dir in
-  check Alcotest.int "migration back to flat skips nothing" 0 (List.length skipped);
-  check Alcotest.int "one shard" 1 (Array.length services1);
-  check Alcotest.bool "flat file restored" true
-    (Sys.file_exists (Filename.concat dir (Snapshot.file_name "orders/amount")));
-  check Alcotest.bool "shard-0 dir removed" false
-    (Sys.file_exists (Filename.concat dir (Service.shard_dir_name 0)));
-  let got1 = Service.answer services1.(0) requests in
-  Array.iteri
-    (fun i x ->
-      check Alcotest.bool (Printf.sprintf "flat answer %d bit-identical" i) true
-        (Int64.bits_of_float x = Int64.bits_of_float expected.(i)))
-    got1
-
-let test_sharded_skip_reports_shard () =
-  (* load_dir with an explicit shard id prefixes every recovery message. *)
   let dir = fresh_dir () in
-  Snapshot.save ~dir
-    { Snapshot.name = "good"; spec = "ewh:8"; inserts = 0; stale = false;
-      provenance = None; summary = stored_of sample_a domain_a };
-  write_file (Filename.concat dir "corrupt.summary") "selest-catalog v1\nname broken\n";
-  write_file (Filename.concat dir ("dead" ^ Snapshot.tmp_extension)) "orphan";
-  let entries, skipped = Snapshot.load_dir ~shard:7 ~dir () in
-  check Alcotest.int "survivor loads" 1 (List.length entries);
-  check Alcotest.int "two recovery events" 2 (List.length skipped);
-  List.iter
-    (fun (file, msg) ->
-      check Alcotest.bool (file ^ " message names shard 7") true
-        (contains_sub msg "shard 7:"))
-    skipped;
-  (* ...and open_sharded threads the prefix through from each shard dir. *)
-  let dir2 = fresh_dir () in
-  let svc, _ = Service.open_dir dir2 in
-  build_two svc;
-  let _, skipped = Service.open_sharded ~shards:4 dir2 in
-  check Alcotest.int "clean migration" 0 (List.length skipped);
-  (* Drop a corrupt snapshot into the shard that owns its decoded name
-     (migration would relocate it anywhere else — names, not positions,
-     decide ownership). *)
-  let owner = Service.shard_of_name ~shards:4 "corrupt" in
-  let owner_dir = Filename.concat dir2 (Service.shard_dir_name owner) in
-  if not (Sys.file_exists owner_dir) then Sys.mkdir owner_dir 0o755;
-  write_file (Filename.concat owner_dir "corrupt.summary") "selest-catalog v1\nname broken\n";
-  let _, skipped = Service.open_sharded ~shards:4 dir2 in
-  (match skipped with
-  | [ (file, msg) ] ->
-    check Alcotest.string "corrupt file reported" "corrupt.summary" file;
-    check Alcotest.bool "message names the owner shard" true
-      (contains_sub msg (Printf.sprintf "shard %d:" owner))
-  | other -> Alcotest.failf "expected one skip, got %d" (List.length other));
-  (* An undecodable file name is left in place and reported during
-     migration rather than guessed at. *)
-  let dir3 = fresh_dir () in
-  let svc, _ = Service.open_dir dir3 in
-  build_two svc;
-  write_file (Filename.concat dir3 "bad%zz.summary") "whatever";
-  let _, skipped = Service.open_sharded ~shards:2 dir3 in
-  (match skipped with
-  | [ (file, msg) ] ->
-    check Alcotest.string "undecodable name reported" "bad%zz.summary" file;
-    check Alcotest.bool "message explains" true (contains_sub msg "percent-encoded")
-  | other -> Alcotest.failf "expected one migration skip, got %d" (List.length other));
-  check Alcotest.bool "undecodable file left in place" true
-    (Sys.file_exists (Filename.concat dir3 "bad%zz.summary"))
+  let move name sub =
+    let sub_dir = Filename.concat dir sub in
+    if not (Sys.file_exists sub_dir) then Sys.mkdir sub_dir 0o755;
+    Sys.rename (Snapshot.path ~dir:flat name) (Snapshot.path ~dir:sub_dir name)
+  in
+  move "orders/amount" "shard-0";
+  move "users/age" "shard-3";
+  write_file
+    (Filename.concat (Filename.concat dir "shard-3") ("dead" ^ Snapshot.tmp_extension))
+    "orphan";
+  let reopened, skipped = Service.open_dir dir in
+  check
+    (Alcotest.list Alcotest.string)
+    "only the orphaned temp file is reported"
+    [ "dead" ^ Snapshot.tmp_extension ]
+    (List.map fst skipped);
+  check (Alcotest.list Alcotest.string) "every entry indexed" [ "orders/amount"; "users/age" ]
+    (Service.names reopened);
+  check (Alcotest.list Alcotest.string) "only flat snapshot files remain"
+    (List.sort String.compare
+       [ Snapshot.file_name "orders/amount"; Snapshot.file_name "users/age" ])
+    (List.sort String.compare (Array.to_list (Sys.readdir dir)));
+  Array.iteri
+    (fun i x ->
+      check Alcotest.bool (Printf.sprintf "answer %d bit-identical" i) true
+        (Int64.bits_of_float x = Int64.bits_of_float expected.(i)))
+    (Service.answer reopened requests)
 
 let () =
   Alcotest.run "catalog"
@@ -650,13 +555,9 @@ let () =
           Alcotest.test_case "drain reaps the in-flight rebuild" `Quick
             test_adaptive_drain_reaps_pending;
         ] );
-      ( "shards",
+      ( "layout",
         [
-          Alcotest.test_case "shard_of_name is pinned and total" `Quick
-            test_shard_of_name_stable;
-          Alcotest.test_case "layout migration 1 -> 4 -> 2 -> 1 round trip" `Quick
-            test_sharded_migration_round_trip;
-          Alcotest.test_case "recovery messages name the shard" `Quick
-            test_sharded_skip_reports_shard;
+          Alcotest.test_case "legacy shard-*/ directories open flat" `Quick
+            test_legacy_layout_opens_flat;
         ] );
     ]

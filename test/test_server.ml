@@ -52,7 +52,7 @@ let with_server ?config f =
   let svc, _ = Service.open_dir dir in
   build_two svc;
   let address = Wire.Unix_socket (sock_path ()) in
-  let engine = Engine.create ?config ~services:[| svc |] address in
+  let engine = Engine.create ?config ~service:svc address in
   let server = Thread.create Engine.serve engine in
   Fun.protect
     ~finally:(fun () ->
@@ -333,7 +333,7 @@ let test_tcp_round_trip () =
   let dir = fresh_dir () in
   let svc, _ = Service.open_dir dir in
   build_two svc;
-  let engine = Engine.create ~services:[| svc |] (Wire.Tcp { host = "127.0.0.1"; port = 0 }) in
+  let engine = Engine.create ~service:svc (Wire.Tcp { host = "127.0.0.1"; port = 0 }) in
   let port = Option.get (Engine.bound_port engine) in
   let server = Thread.create Engine.serve engine in
   Fun.protect
@@ -360,23 +360,23 @@ let test_malformed_payload_keeps_connection () =
         (fun () ->
           (* A well-framed but malformed payload: typed bad_request, and the
              connection keeps serving. *)
-          Wire.write_frame fd "\x01\x7f";
-          (match Wire.read_frame fd with
-          | Ok (Some payload) -> (
-            match Wire.decode_response payload with
-            | Ok (Wire.Error_reply { code = Wire.Bad_request; _ }) -> ()
-            | other ->
-              Alcotest.failf "expected bad_request, got %s"
-                (match other with
-                | Ok r -> Wire.response_to_string r
-                | Error m -> m))
-          | _ -> Alcotest.fail "no reply to malformed payload");
-          Wire.write_frame fd (Wire.encode_request Wire.Ping);
-          match Wire.read_frame fd with
-          | Ok (Some payload) -> (
-            match Wire.decode_response payload with
-            | Ok Wire.Pong -> ()
-            | _ -> Alcotest.fail "connection did not survive a malformed payload")
+          let r = Wire.create_reader () in
+          let read_reply () =
+            match Wire.read_frame_into r fd with
+            | len when len >= 0 ->
+              Wire.decode_response (Bytes.sub_string (Wire.reader_buffer r) 0 len)
+            | _ -> Error "no reply frame"
+          in
+          let frame = "\x00\x00\x00\x02\x01\x7f" in
+          ignore (Unix.write_substring fd frame 0 (String.length frame));
+          (match read_reply () with
+          | Ok (Wire.Error_reply { code = Wire.Bad_request; _ }) -> ()
+          | Ok other ->
+            Alcotest.failf "expected bad_request, got %s" (Wire.response_to_string other)
+          | Error m -> Alcotest.failf "no reply to malformed payload: %s" m);
+          Wire.write_request (Wire.create_writer ()) fd Wire.Ping;
+          match read_reply () with
+          | Ok Wire.Pong -> ()
           | _ -> Alcotest.fail "connection did not survive a malformed payload"))
 
 (* Regression: an empty batch is a legal frame; it must answer an empty
@@ -469,7 +469,7 @@ let test_sigterm_drain_and_reconnect () =
     (* Slow dispatch so requests are verifiably mid-flight at SIGTERM. *)
     { Engine.default_config with Engine.dispatch_delay_s = 0.15; tick_s = 0.005 }
   in
-  let engine = Engine.create ~config ~services:[| svc |] address in
+  let engine = Engine.create ~config ~service:svc address in
   Engine.install_sigterm engine;
   let server = Thread.create Engine.serve engine in
   let probe = ("users/age", 0.0, 30.5) in
@@ -548,7 +548,7 @@ let test_sigterm_drain_and_reconnect () =
   Client.close client_b;
   (* Restart over the same snapshot dir: identical answers. *)
   let svc2, _ = Service.open_dir dir in
-  let engine2 = Engine.create ~services:[| svc2 |] address in
+  let engine2 = Engine.create ~service:svc2 address in
   let server2 = Thread.create Engine.serve engine2 in
   Fun.protect
     ~finally:(fun () ->
@@ -562,195 +562,10 @@ let test_sigterm_drain_and_reconnect () =
         (Int64.bits_of_float x = Int64.bits_of_float expected.(0));
       Client.close client)
 
-(* ---------------- sharded engine ---------------- *)
-
-let entry_names =
-  [ "orders/amount"; "users/age"; "events/ts"; "fleet/fuel"; "sensors/temp" ]
-
-let build_many svc =
-  List.iter
-    (fun name ->
-      ignore
-        (or_fail (Service.build svc ~name ~spec:"ewh:16" ~domain:domain_a ~sample:sample_a)))
-    entry_names
-
-let copy_flat_dir src dst =
-  Array.iter
-    (fun f ->
-      let ic = open_in_bin (Filename.concat src f) in
-      let n = in_channel_length ic in
-      let data = really_input_string ic n in
-      close_in ic;
-      let oc = open_out_bin (Filename.concat dst f) in
-      output_string oc data;
-      close_out oc)
-    (Sys.readdir src)
-
-(* Tentpole acceptance: for arbitrary batch shapes, the sharded router's
-   split-and-reassemble serves exactly the bytes the single-shard engine
-   serves — same entries, same snapshots (byte-copied), [shards = 1] vs
-   [shards = 3].  Order preservation falls out of bit-identity: a
-   reassembly that permuted replies would mismatch slot-for-slot. *)
-let test_sharded_split_reassemble () =
-  let dir1 = fresh_dir () in
-  let svc1, _ = Service.open_dir dir1 in
-  build_many svc1;
-  let dir3 = fresh_dir () in
-  copy_flat_dir dir1 dir3;
-  let services, skipped = Service.open_sharded ~shards:3 dir3 in
-  check Alcotest.int "sharded open skips nothing" 0 (List.length skipped);
-  check Alcotest.int "three shards" 3 (Array.length services);
-  let addr1 = Wire.Unix_socket (sock_path ()) in
-  let addr3 = Wire.Unix_socket (sock_path ()) in
-  let engine1 = Engine.create ~services:[| svc1 |] addr1 in
-  let engine3 = Engine.create ~services addr3 in
-  let server1 = Thread.create Engine.serve engine1 in
-  let server3 = Thread.create Engine.serve engine3 in
-  Fun.protect
-    ~finally:(fun () ->
-      Engine.initiate_drain engine1;
-      Engine.initiate_drain engine3;
-      Thread.join server1;
-      Thread.join server3)
-    (fun () ->
-      let client1 = or_fail_client (Client.connect addr1) in
-      let client3 = or_fail_client (Client.connect addr3) in
-      Fun.protect
-        ~finally:(fun () ->
-          Client.close client1;
-          Client.close client3)
-        (fun () ->
-          (* The five entries must actually span more than one shard, or
-             the router's multi-shard path goes untested. *)
-          let owners =
-            List.sort_uniq compare
-              (List.map (Service.shard_of_name ~shards:3) entry_names)
-          in
-          check Alcotest.bool "entries span multiple shards" true (List.length owners > 1);
-          let gen_batch =
-            QCheck.Gen.(
-              list_size (int_bound 40)
-                (triple (oneofl entry_names)
-                   (float_bound_inclusive 96.5)
-                   (float_bound_inclusive 96.5))
-              >>= fun l ->
-              return
-                (Array.of_list
-                   (List.map (fun (n, x, y) -> if x <= y then (n, x, y) else (n, y, x)) l)))
-          in
-          let print_batch b =
-            String.concat ";"
-              (Array.to_list (Array.map (fun (n, a, b) -> Printf.sprintf "%s[%h,%h]" n a b) b))
-          in
-          let prop batch =
-            let r1 = Client.batch_estimate client1 batch in
-            let r3 = Client.batch_estimate client3 batch in
-            match (r1, r3) with
-            | Ok a1, Ok a3 ->
-              Array.length a1 = Array.length a3
-              && Array.for_all2
-                   (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-                   a1 a3
-            | Error e, _ | _, Error e ->
-              QCheck.Test.fail_reportf "batch errored: %s" (Client.error_to_string e)
-          in
-          QCheck.Test.check_exn
-            (QCheck.Test.make ~count:60
-               ~name:"sharded batch replies bit-identical to shards=1"
-               (QCheck.make gen_batch ~print:print_batch)
-               prop);
-          (* Single estimates agree too, and the sharded stats show the
-             work spread across shards. *)
-          List.iter
-            (fun entry ->
-              let x1 = or_fail_client (Client.estimate client1 ~entry ~a:3.0 ~b:40.0) in
-              let x3 = or_fail_client (Client.estimate client3 ~entry ~a:3.0 ~b:40.0) in
-              check Alcotest.bool (entry ^ " single estimate bit-identical") true
-                (Int64.bits_of_float x1 = Int64.bits_of_float x3))
-            entry_names;
-          let s = Engine.stats engine3 in
-          check Alcotest.int "stats report 3 shards" 3 s.Engine.shards;
-          let per_shard_sum =
-            Array.fold_left (fun n ps -> n + ps.Engine.shard_answered) 0 s.Engine.per_shard
-          in
-          check Alcotest.int "per-shard answered sums to total" s.Engine.answered per_shard_sum;
-          check Alcotest.bool "more than one shard answered queries" true
-            (Array.length
-               (Array.of_seq
-                  (Seq.filter
-                     (fun ps -> ps.Engine.shard_answered > 0)
-                     (Array.to_seq s.Engine.per_shard)))
-            > 1)))
-
-(* Satellite: killing one shard's dispatcher degrades that shard to the
-   typed [Internal] refusal while the others keep serving bit-identical
-   answers, and a drain still completes. *)
-let test_kill_shard_dispatcher () =
-  let dir = fresh_dir () in
-  let build_svc, _ = Service.open_dir dir in
-  build_many build_svc;
-  let services, _ = Service.open_sharded ~shards:3 dir in
-  let address = Wire.Unix_socket (sock_path ()) in
-  let engine = Engine.create ~services address in
-  let server = Thread.create Engine.serve engine in
-  Fun.protect
-    ~finally:(fun () ->
-      Engine.initiate_drain engine;
-      Thread.join server)
-    (fun () ->
-      let client = or_fail_client (Client.connect address) in
-      Fun.protect
-        ~finally:(fun () -> Client.close client)
-        (fun () ->
-          let victim_entry = List.hd entry_names in
-          let victim = Service.shard_of_name ~shards:3 victim_entry in
-          let healthy_entry =
-            List.find
-              (fun n -> Service.shard_of_name ~shards:3 n <> victim)
-              entry_names
-          in
-          (* Answers before the kill, for the bit-identity check after. *)
-          let before =
-            or_fail_client (Client.estimate client ~entry:healthy_entry ~a:3.0 ~b:40.0)
-          in
-          Engine.kill_shard_dispatcher engine victim;
-          (* The victim's entries get the typed internal refusal... *)
-          (match Client.estimate client ~entry:victim_entry ~a:3.0 ~b:40.0 with
-          | Error (Client.Server (Wire.Internal, msg)) ->
-            check Alcotest.bool "refusal names the shard" true
-              (let needle = Printf.sprintf "shard %d" victim in
-               let len = String.length needle in
-               let found = ref false in
-               for i = 0 to String.length msg - len do
-                 if String.sub msg i len = needle then found := true
-               done;
-               !found)
-          | Ok _ -> Alcotest.fail "dead shard answered an estimate"
-          | Error e -> Alcotest.failf "expected internal, got %s" (Client.error_to_string e));
-          (* ...a batch touching the dead shard errors as a whole... *)
-          (match
-             Client.batch_estimate client
-               [| (healthy_entry, 3.0, 40.0); (victim_entry, 3.0, 40.0) |]
-           with
-          | Error (Client.Server (Wire.Internal, _)) -> ()
-          | Ok _ -> Alcotest.fail "batch touching the dead shard answered"
-          | Error e -> Alcotest.failf "expected internal, got %s" (Client.error_to_string e));
-          (* ...and the surviving shards keep serving the same bits. *)
-          let after =
-            or_fail_client (Client.estimate client ~entry:healthy_entry ~a:3.0 ~b:40.0)
-          in
-          check Alcotest.bool "healthy shard bit-identical after the kill" true
-            (Int64.bits_of_float before = Int64.bits_of_float after);
-          or_fail_client (Client.ping client)));
-  (* Fun.protect's drain above returning at all is the drain-completes
-     assertion; killing it twice must be harmless. *)
-  Engine.kill_shard_dispatcher engine 0
-
 (* ---------------- adaptive serving ---------------- *)
 
-(* Tentpole acceptance, end to end: an adaptive engine accepts insert
-   and observe frames, routes them through the shard dispatcher into the
-   reservoir and the feedback histogram, swaps a rebuilt summary in the
+(* End to end: an adaptive engine accepts insert and observe frames,
+   feeds them into the reservoir and the feedback histogram, swaps a rebuilt summary in the
    background, and still drains cleanly.  Typed refusals for bad
    adaptive traffic ride along. *)
 let test_adaptive_insert_observe_e2e () =
@@ -763,7 +578,7 @@ let test_adaptive_insert_observe_e2e () =
   build_two svc;
   Service.enable_adaptive svc;
   let address = Wire.Unix_socket (sock_path ()) in
-  let engine = Engine.create ~services:[| svc |] address in
+  let engine = Engine.create ~service:svc address in
   let server = Thread.create Engine.serve engine in
   Fun.protect
     ~finally:(fun () ->
@@ -824,6 +639,84 @@ let test_adaptive_insert_observe_e2e () =
      assertion. *)
   check Alcotest.bool "drained" true (Engine.draining engine)
 
+(* Four connections interleave estimates, batches, inserts and observes
+   against one adaptive server, so evaluation, background rebuilds and
+   their swaps all contend for the catalog mutex: every estimate stays
+   in [0,1], every write is acknowledged, and the drain is clean. *)
+let test_adaptive_concurrent_connections () =
+  let dir = fresh_dir () in
+  let svc, _ =
+    Service.open_dir
+      ~config:{ Service.default_config with Service.rebuild_after_inserts = 50 }
+      dir
+  in
+  build_two svc;
+  Service.enable_adaptive
+    ~config:{ Service.default_adaptive_config with Service.refresh_after_observes = 8 }
+    svc;
+  let address = Wire.Unix_socket (sock_path ()) in
+  let engine = Engine.create ~service:svc address in
+  let server = Thread.create Engine.serve engine in
+  let failures = Atomic.make [] in
+  let fail msg =
+    let rec push () =
+      let cur = Atomic.get failures in
+      if not (Atomic.compare_and_set failures cur (msg :: cur)) then push ()
+    in
+    push ()
+  in
+  let in_unit x = Float.is_finite x && x >= 0.0 && x <= 1.0 in
+  let worker k () =
+    match Client.connect address with
+    | Error e -> fail ("connect: " ^ Client.error_to_string e)
+    | Ok client ->
+      let entry = if k mod 2 = 0 then "orders/amount" else "users/age" in
+      for i = 0 to 59 do
+        let a = float_of_int (((i * 7) + k) mod 40) in
+        let b = a +. 15.0 in
+        match i mod 4 with
+        | 0 -> (
+          match Client.estimate client ~entry ~a ~b with
+          | Ok x when in_unit x -> ()
+          | Ok x -> fail (Printf.sprintf "estimate %h outside [0,1]" x)
+          | Error e -> fail ("estimate: " ^ Client.error_to_string e))
+        | 1 -> (
+          match Client.batch_estimate client [| (entry, a, b); ("users/age", 0.0, b) |] with
+          | Ok xs when Array.length xs = 2 && Array.for_all in_unit xs -> ()
+          | Ok _ -> fail "batch answer outside [0,1]"
+          | Error e -> fail ("batch: " ^ Client.error_to_string e))
+        | 2 -> (
+          let values = Array.init 10 (fun j -> float_of_int ((i + j) mod 60)) in
+          match Client.insert client ~entry values with
+          | Ok (sampled, seen) when sampled > 0 && seen >= 10 -> ()
+          | Ok (sampled, seen) ->
+            fail (Printf.sprintf "insert acknowledged with %d sampled of %d seen" sampled seen)
+          | Error e -> fail ("insert: " ^ Client.error_to_string e))
+        | _ -> (
+          match Client.observe client ~entry ~a ~b ~actual:0.25 with
+          | Ok x when in_unit x -> ()
+          | Ok x -> fail (Printf.sprintf "observe refined to %h" x)
+          | Error e -> fail ("observe: " ^ Client.error_to_string e))
+      done;
+      Client.close client
+  in
+  let threads = List.init 4 (fun k -> Thread.create (worker k) ()) in
+  List.iter Thread.join threads;
+  Engine.initiate_drain engine;
+  Thread.join server;
+  check (Alcotest.list Alcotest.string) "every reply in [0,1] or acknowledged" []
+    (Atomic.get failures);
+  let s = Engine.stats engine in
+  check Alcotest.int "no protocol errors" 0 s.Engine.protocol_errors;
+  check Alcotest.int "nothing refused" 0
+    (s.Engine.overloaded + s.Engine.timeouts + s.Engine.refused_draining);
+  check Alcotest.bool "summaries swapped under load" true (s.Engine.swaps > 0);
+  (* A clean drain persisted everything: the directory reopens whole. *)
+  let reopened, skipped = Service.open_dir dir in
+  check Alcotest.int "reopen skips nothing" 0 (List.length skipped);
+  check (Alcotest.list Alcotest.string) "entries survive" [ "orders/amount"; "users/age" ]
+    (Service.names reopened)
+
 (* ---------------- rect and join serving ---------------- *)
 
 let rect_points =
@@ -860,7 +753,7 @@ let test_rect_join_requests () =
   let svc, _ = Service.open_dir dir in
   build_three_kinds svc;
   let address = Wire.Unix_socket (sock_path ()) in
-  let engine = Engine.create ~services:[| svc |] address in
+  let engine = Engine.create ~service:svc address in
   let server = Thread.create Engine.serve engine in
   Fun.protect
     ~finally:(fun () ->
@@ -958,82 +851,58 @@ let test_rect_join_requests () =
           check Alcotest.bool "range entry has no domain_y" true
             ((find "orders/amount").Wire.domain_y = None)))
 
-(* Satellite acceptance: a mixed range/rect/join workload served at
-   shards = 1 and shards = 4 over byte-copied snapshot dirs answers
-   bit-identically, and run_mixed reports per-kind latency groups. *)
-let test_mixed_sharded_bit_identity () =
-  let dir1 = fresh_dir () in
-  let svc1, _ = Service.open_dir dir1 in
-  build_three_kinds svc1;
-  let dir4 = fresh_dir () in
-  copy_flat_dir dir1 dir4;
-  let services4, skipped = Service.open_sharded ~shards:4 dir4 in
-  check Alcotest.int "sharded open skips nothing" 0 (List.length skipped);
-  let addr1 = Wire.Unix_socket (sock_path ()) in
-  let addr4 = Wire.Unix_socket (sock_path ()) in
-  let engine1 = Engine.create ~services:[| svc1 |] addr1 in
-  let engine4 = Engine.create ~services:services4 addr4 in
-  let server1 = Thread.create Engine.serve engine1 in
-  let server4 = Thread.create Engine.serve engine4 in
-  Fun.protect
-    ~finally:(fun () ->
-      Engine.initiate_drain engine1;
-      Engine.initiate_drain engine4;
-      Thread.join server1;
-      Thread.join server4)
-    (fun () ->
-      let client = or_fail_client (Client.connect addr1) in
-      let entries = or_fail_client (Client.ls client) in
-      Client.close client;
-      let requests = Loadgen.synthetic_mixed_requests ~entries ~count:240 ~seed:17L in
-      check Alcotest.bool "workload mixes all three kinds" true
-        (let kinds =
-           List.sort_uniq compare
-             (Array.to_list (Array.map Loadgen.mixed_kind requests))
-         in
-         kinds = [ "join"; "range"; "rect" ]);
-      let r1 = Loadgen.run_mixed ~connections:8 ~address:addr1 requests in
-      let r4 = Loadgen.run_mixed ~connections:8 ~address:addr4 requests in
-      check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "zero errors at shards=1"
-        [] r1.Loadgen.errors;
-      check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "zero errors at shards=4"
-        [] r4.Loadgen.errors;
-      check Alcotest.int "all answered at shards=1" 240 r1.Loadgen.ok;
-      check Alcotest.int "all answered at shards=4" 240 r4.Loadgen.ok;
-      (* Served equals served across shard counts, slot for slot... *)
-      Array.iteri
-        (fun i x1 ->
-          let x4 = r4.Loadgen.answers.(i) in
-          if Int64.bits_of_float x1 <> Int64.bits_of_float x4 then
-            Alcotest.failf "request %d: shards=1 %h, shards=4 %h" i x1 x4)
-        r1.Loadgen.answers;
-      (* ...and both equal the direct library answer. *)
-      let direct_svc, _ = Service.open_dir dir1 in
-      Array.iteri
-        (fun i req ->
-          let direct =
-            match req with
-            | Loadgen.Mix_range (entry, a, b) ->
-              or_fail (Service.answer_one direct_svc ~name:entry ~a ~b)
-            | Loadgen.Mix_rect { m_entry; m_x_lo; m_x_hi; m_y_lo; m_y_hi } ->
-              or_fail
-                (Service.answer_rect direct_svc ~name:m_entry ~x_lo:m_x_lo
-                   ~x_hi:m_x_hi ~y_lo:m_y_lo ~y_hi:m_y_hi)
-            | Loadgen.Mix_join { m_entry; m_pred } ->
-              or_fail (Service.answer_join direct_svc ~name:m_entry ~pred:m_pred)
-          in
-          if Int64.bits_of_float r1.Loadgen.answers.(i) <> Int64.bits_of_float direct
-          then
-            Alcotest.failf "request %d (%s): served %h, direct %h" i
-              (Loadgen.mixed_kind req) r1.Loadgen.answers.(i) direct)
-        requests;
-      (* Per-kind latency groups are always on for mixed runs. *)
-      let group_names = List.map fst r1.Loadgen.groups in
-      check (Alcotest.list Alcotest.string) "per-kind groups reported"
-        [ "join"; "range"; "rect" ] group_names;
-      List.iter
-        (fun (_, g) -> check Alcotest.bool "group populated" true (g.Loadgen.g_n > 0))
-        r1.Loadgen.groups)
+(* A mixed range/rect/join workload over eight connections answers
+   bit-identically to the direct Catalog.Service call of each kind, and
+   run_mixed reports per-kind latency groups. *)
+let test_mixed_bit_identity () =
+  let dir = fresh_dir () in
+  let svc, _ = Service.open_dir dir in
+  build_three_kinds svc;
+  let address = Wire.Unix_socket (sock_path ()) in
+  let engine = Engine.create ~service:svc address in
+  let server = Thread.create Engine.serve engine in
+  let requests, r =
+    Fun.protect
+      ~finally:(fun () ->
+        Engine.initiate_drain engine;
+        Thread.join server)
+      (fun () ->
+        let client = or_fail_client (Client.connect address) in
+        let entries = or_fail_client (Client.ls client) in
+        Client.close client;
+        let requests = Loadgen.synthetic_mixed_requests ~entries ~count:240 ~seed:17L in
+        (requests, Loadgen.run_mixed ~connections:8 ~address requests))
+  in
+  check Alcotest.bool "workload mixes all three kinds" true
+    (List.sort_uniq compare (Array.to_list (Array.map Loadgen.mixed_kind requests))
+    = [ "join"; "range"; "rect" ]);
+  check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "zero errors" []
+    r.Loadgen.errors;
+  check Alcotest.int "all answered" 240 r.Loadgen.ok;
+  let direct_svc, _ = Service.open_dir dir in
+  Array.iteri
+    (fun i req ->
+      let direct =
+        match req with
+        | Loadgen.Mix_range (entry, a, b) ->
+          or_fail (Service.answer_one direct_svc ~name:entry ~a ~b)
+        | Loadgen.Mix_rect { m_entry; m_x_lo; m_x_hi; m_y_lo; m_y_hi } ->
+          or_fail
+            (Service.answer_rect direct_svc ~name:m_entry ~x_lo:m_x_lo ~x_hi:m_x_hi
+               ~y_lo:m_y_lo ~y_hi:m_y_hi)
+        | Loadgen.Mix_join { m_entry; m_pred } ->
+          or_fail (Service.answer_join direct_svc ~name:m_entry ~pred:m_pred)
+      in
+      if Int64.bits_of_float r.Loadgen.answers.(i) <> Int64.bits_of_float direct then
+        Alcotest.failf "request %d (%s): served %h, direct %h" i (Loadgen.mixed_kind req)
+          r.Loadgen.answers.(i) direct)
+    requests;
+  (* Per-kind latency groups are always on for mixed runs. *)
+  check (Alcotest.list Alcotest.string) "per-kind groups reported" [ "join"; "range"; "rect" ]
+    (List.map fst r.Loadgen.groups);
+  List.iter
+    (fun (_, g) -> check Alcotest.bool "group populated" true (g.Loadgen.g_n > 0))
+    r.Loadgen.groups
 
 (* Open-loop generator sanity: the arrival schedule is honored (offered
    ~= rate * duration), accounting is consistent, and at a tame rate
@@ -1088,6 +957,8 @@ let () =
         [
           Alcotest.test_case "32 connections, zero errors, bit-identical" `Quick
             test_loadgen_32_connections;
+          Alcotest.test_case "open-loop schedule and accounting" `Quick
+            test_open_loop_smoke;
         ] );
       ( "drain",
         [
@@ -1098,21 +969,14 @@ let () =
         [
           Alcotest.test_case "insert/observe end to end, background swap, drain" `Quick
             test_adaptive_insert_observe_e2e;
+          Alcotest.test_case "4 connections interleave reads and writes, clean drain"
+            `Quick test_adaptive_concurrent_connections;
         ] );
       ( "rect-join",
         [
           Alcotest.test_case "served rect/join bit-identical, typed kind errors"
             `Quick test_rect_join_requests;
-          Alcotest.test_case "mixed workload bit-identical at shards=1 vs 4" `Quick
-            test_mixed_sharded_bit_identity;
-        ] );
-      ( "shards",
-        [
-          Alcotest.test_case "split/reassemble bit-identical to shards=1" `Quick
-            test_sharded_split_reassemble;
-          Alcotest.test_case "kill one shard dispatcher, others serve, drain completes"
-            `Quick test_kill_shard_dispatcher;
-          Alcotest.test_case "open-loop schedule and accounting" `Quick
-            test_open_loop_smoke;
+          Alcotest.test_case "mixed workload bit-identical to direct calls" `Quick
+            test_mixed_bit_identity;
         ] );
     ]

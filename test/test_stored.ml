@@ -169,6 +169,8 @@ let malformed_cases =
     ("empty domain", "selest-stored v1\ndomain 5 5\ncells 1\n0.5\n");
     ("inverted domain", "selest-stored v1\ndomain 9 3\ncells 1\n0.5\n");
     ("non-float domain", "selest-stored v1\ndomain a b\ncells 1\n0.5\n");
+    ("infinite upper domain", "selest-stored v1\ndomain 0 inf\ncells 1\n0.5\n");
+    ("infinite lower domain", "selest-stored v1\ndomain -inf 10\ncells 1\n0.5\n");
     ("missing cells", "selest-stored v1\ndomain 0 1\n0.5\n");
     ("zero cells", "selest-stored v1\ndomain 0 1\ncells 0\n");
     ("negative cells", "selest-stored v1\ndomain 0 1\ncells -4\n0.5\n");
@@ -239,6 +241,36 @@ let test_tiny_weights () =
     (Stored.selectivity t ~a:0.75 ~b:1.0)
     0.25
 
+(* Unbounded and huge query bounds clamp to the edge cells, in the
+   scalar and the batch entry point alike.  A 4-cell uniform summary
+   over [0,4]: the whole line holds all the mass, [2, +inf) half. *)
+let test_unbounded_bounds () =
+  let t = stored_of_weights ~lo:0.0 ~hi:4.0 [ 0.25; 0.25; 0.25; 0.25 ] in
+  let cases =
+    [
+      (Float.neg_infinity, Float.infinity, 1.0);
+      (-1e30, 1e30, 1.0);
+      (-1e300, 1e300, 1.0);
+      (2.0, Float.infinity, 0.5);
+      (2.0, 1e300, 0.5);
+      (Float.neg_infinity, 1.0, 0.25);
+      (-1e300, 1.0, 0.25);
+      (Float.neg_infinity, -1e300, 0.0);
+      (1e300, Float.infinity, 0.0);
+    ]
+  in
+  let n = List.length cases in
+  let a = Array.of_list (List.map (fun (a, _, _) -> a) cases) in
+  let b = Array.of_list (List.map (fun (_, b, _) -> b) cases) in
+  let out = Array.make n Float.nan in
+  Stored.selectivity_into t ~pos:0 ~len:n ~a ~b ~out;
+  List.iteri
+    (fun i (qa, qb, want) ->
+      let label = Printf.sprintf "sel(%g, %g)" qa qb in
+      checkf (label ^ " scalar") want (Stored.selectivity t ~a:qa ~b:qb);
+      checkf (label ^ " batch") want out.(i))
+    cases
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -253,4 +285,6 @@ let () =
           Alcotest.test_case "rect/join parsers total" `Quick test_malformed_rect_join;
           Alcotest.test_case "denormal weights" `Quick test_tiny_weights;
         ] );
+      ( "bounds",
+        [ Alcotest.test_case "unbounded and huge query bounds" `Quick test_unbounded_bounds ] );
     ]
