@@ -1069,70 +1069,45 @@ let bench_serve () =
                        ~address requests))
             [ 1000.0; 4000.0; 16000.0 ]
         in
-        let mixed = Server.Loadgen.synthetic_mixed_requests ~entries ~count:4800 ~seed:2025L in
-        let mreport = Server.Loadgen.run_mixed ~connections ~address mixed in
+        let mixed = Server.Loadgen.synthetic_requests ~entries ~count:4800 ~seed:2025L in
+        let mreport = Server.Loadgen.run ~connections ~address mixed in
         (requests, report, batched, open_reports, mixed, mreport))
   in
   let stats = Server.Engine.stats engine in
   (* Bit-identity per request against a fresh service over the same
-     snapshots. *)
+     snapshots; a failed request fails the check too. *)
   let direct, _ = Cat.open_dir dir in
-  let expected = Cat.answer direct requests in
-  let check_identity label (r : Server.Loadgen.report) =
-    let mismatches = ref 0 in
-    Array.iteri
-      (fun i served ->
-        if Float.is_nan served then incr mismatches
-        else if Int64.bits_of_float served <> Int64.bits_of_float expected.(i) then
-          incr mismatches)
-      r.Server.Loadgen.answers;
-    if !mismatches > 0 then
+  let check_identity label requests (r : Server.Loadgen.report) =
+    let checked, mismatched = Server.Loadgen.verify direct requests r in
+    let failed = Array.length requests - checked + mismatched in
+    if failed > 0 then
       failwith
-        (Printf.sprintf "serve (%s): %d served answers diverge from direct calls" label
-           !mismatches)
+        (Printf.sprintf "serve (%s): %d served answers diverge from direct calls" label failed)
   in
-  check_identity "singles" report;
-  check_identity "batch=16" batched;
-  let direct_of req =
-    match req with
-    | Server.Loadgen.Mix_range (name, a, b) -> Cat.answer_one direct ~name ~a ~b
-    | Server.Loadgen.Mix_rect { m_entry; m_x_lo; m_x_hi; m_y_lo; m_y_hi } ->
-      Cat.answer_rect direct ~name:m_entry ~x_lo:m_x_lo ~x_hi:m_x_hi ~y_lo:m_y_lo
-        ~y_hi:m_y_hi
-    | Server.Loadgen.Mix_join { m_entry; m_pred } ->
-      Cat.answer_join direct ~name:m_entry ~pred:m_pred
-  in
-  let mismatches = ref 0 in
-  Array.iteri
-    (fun i served ->
-      match direct_of mixed.(i) with
-      | Error _ -> incr mismatches
-      | Ok expected ->
-        if Float.is_nan served || Int64.bits_of_float served <> Int64.bits_of_float expected
-        then incr mismatches)
-    mreport.Server.Loadgen.answers;
-  if !mismatches > 0 then
-    failwith
-      (Printf.sprintf "serve mixed: %d served answers diverge from direct calls" !mismatches);
+  check_identity "singles" requests report;
+  check_identity "batch=16" requests batched;
+  check_identity "mixed" mixed mreport;
   (* Record: closed-loop throughput and percentiles, the open-loop
      sweep, per-kind throughput and accuracy. *)
   Record.note_queries ~queries:report.Server.Loadgen.queries
     ~query_s:report.Server.Loadgen.wall_s;
   Record.note_extra ~key:"connections" (float_of_int connections);
-  Record.note_extra ~key:"p50_ms" report.Server.Loadgen.p50_ms;
-  Record.note_extra ~key:"p95_ms" report.Server.Loadgen.p95_ms;
-  Record.note_extra ~key:"p99_ms" report.Server.Loadgen.p99_ms;
+  let summary (r : Server.Loadgen.report) = r.Server.Loadgen.summary in
+  Record.note_extra ~key:"p50_ms" (summary report).Server.Loadgen.p50_ms;
+  Record.note_extra ~key:"p95_ms" (summary report).Server.Loadgen.p95_ms;
+  Record.note_extra ~key:"p99_ms" (summary report).Server.Loadgen.p99_ms;
   Record.note_extra ~key:"batched_throughput_qps" batched.Server.Loadgen.throughput_qps;
   Record.note_extra ~key:"errors_total"
     (float_of_int
        (List.fold_left
           (fun n (_, c) -> n + c)
           0
-          (report.Server.Loadgen.errors @ batched.Server.Loadgen.errors
-          @ mreport.Server.Loadgen.errors)));
+          (List.concat_map
+             (fun r -> (summary r).Server.Loadgen.errors)
+             [ report; batched; mreport ])));
   List.iter
     (fun (cls, n) -> Record.note_extra ~key:("errors_" ^ cls) (float_of_int n))
-    report.Server.Loadgen.errors;
+    (summary report).Server.Loadgen.errors;
   Record.note_extra ~key:"batches" (float_of_int stats.Server.Engine.batches);
   Record.note_extra ~key:"batched_queries" (float_of_int stats.Server.Engine.batched_queries);
   List.iter
@@ -1144,34 +1119,36 @@ let bench_serve () =
           ("dropped", float_of_int r.Server.Loadgen.dropped);
           ("late", float_of_int r.Server.Loadgen.late);
           ("achieved_qps", r.Server.Loadgen.achieved_qps);
-          ("p50_ms", r.Server.Loadgen.o_p50_ms);
-          ("p99_ms", r.Server.Loadgen.o_p99_ms);
+          ("p50_ms", r.Server.Loadgen.o_summary.Server.Loadgen.p50_ms);
+          ("p99_ms", r.Server.Loadgen.o_summary.Server.Loadgen.p99_ms);
         ])
     open_reports;
   let truth_of req =
     match req with
-    | Server.Loadgen.Mix_range (name, a, b) ->
-      let file = String.sub name 0 (String.index name '/') in
+    | Server.Wire.Estimate { entry; a; b; _ } ->
+      let file = String.sub entry 0 (String.index entry '/') in
       Data.Dataset.exact_selectivity (dataset file) ~lo:a ~hi:b
-    | Server.Loadgen.Mix_rect { m_x_lo; m_x_hi; m_y_lo; m_y_hi; _ } ->
-      Multidim.Dataset2d.exact_selectivity street ~x_lo:m_x_lo ~x_hi:m_x_hi ~y_lo:m_y_lo
-        ~y_hi:m_y_hi
-    | Server.Loadgen.Mix_join { m_pred; _ } ->
-      float_of_int (Join.Ineqjoin.exact_inequality_size join_r join_s ~pred:m_pred)
+    | Server.Wire.Estimate_rect { x_lo; x_hi; y_lo; y_hi; _ } ->
+      Multidim.Dataset2d.exact_selectivity street ~x_lo ~x_hi ~y_lo ~y_hi
+    | Server.Wire.Estimate_join { pred; _ } ->
+      float_of_int (Join.Ineqjoin.exact_inequality_size join_r join_s ~pred)
+    | other -> failwith ("serve: no truth for " ^ Server.Wire.request_to_string other)
   in
-  (* Relative error needs truth > 0; zero-truth queries are skipped. *)
+  (* Relative error needs truth > 0; zero-truth queries are skipped.
+     Every reply is an answer: [check_identity] passed. *)
   let mre_of_kind kind =
     let sum = ref 0.0 and n = ref 0 in
     Array.iteri
-      (fun i served ->
-        if Server.Loadgen.mixed_kind mixed.(i) = kind then begin
-          let truth = truth_of mixed.(i) in
+      (fun i req ->
+        match mreport.Server.Loadgen.replies.(i) with
+        | Some (Server.Wire.Estimate_reply served) when Server.Loadgen.request_kind req = kind ->
+          let truth = truth_of req in
           if truth > 0.0 then begin
             sum := !sum +. (Float.abs (served -. truth) /. truth);
             incr n
           end
-        end)
-      mreport.Server.Loadgen.answers;
+        | _ -> ())
+      mixed;
     if !n = 0 then Float.nan else !sum /. float_of_int !n
   in
   List.iter
@@ -1185,7 +1162,7 @@ let bench_serve () =
           ("p50_ms", g.Server.Loadgen.g_p50_ms);
           ("p99_ms", g.Server.Loadgen.g_p99_ms);
         ])
-    mreport.Server.Loadgen.groups;
+    (summary mreport).Server.Loadgen.groups;
   Printf.printf "single estimates:\n%s\n" (Server.Loadgen.report_to_string report);
   Printf.printf "batch=16 frames:\n%s\n" (Server.Loadgen.report_to_string batched);
   List.iter
@@ -1199,7 +1176,7 @@ let bench_serve () =
       Printf.printf "  %-6s n=%-5d mre=%.4f p50=%.3fms p99=%.3fms\n" kind
         g.Server.Loadgen.g_n (mre_of_kind kind) g.Server.Loadgen.g_p50_ms
         g.Server.Loadgen.g_p99_ms)
-    mreport.Server.Loadgen.groups;
+    (summary mreport).Server.Loadgen.groups;
   Printf.printf
     "server: %d requests (%d batches, %d queries), every closed-loop answer bit-identical \
      to direct calls\n"

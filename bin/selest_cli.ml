@@ -871,20 +871,22 @@ let loadgen_cmd =
   in
   let queries_arg =
     Arg.(value & opt int 1000 & info [ "queries"; "q" ] ~docv:"N"
-         ~doc:"Total synthetic range queries to issue across all connections.")
+         ~doc:"Total synthetic queries to issue across all connections, each matched \
+               to its entry's kind.")
   in
   let batch_arg =
     Arg.(value & opt int 1 & info [ "batch" ] ~docv:"N"
-         ~doc:"Queries grouped into one batch_estimate frame (1 = one estimate per frame).")
+         ~doc:"Consecutive range estimates grouped into one batch_estimate frame (1 = \
+               one request per frame).")
   in
   let verify_dir_arg =
     Arg.(value & opt ~vopt:(Some "") (some string) None & info [ "verify" ] ~docv:"DIR"
          ~doc:"After a closed-loop run, recompute every answered query directly against \
-               the snapshot directory $(docv) and fail unless the served estimates are \
-               bit-identical.  With $(b,--drift), $(docv) is not needed (bare \
-               $(b,--verify)): the check asserts the drift stream's invariants — every \
-               answered estimate finite in [0,1], no protocol errors, and every \
-               operation class acknowledged.")
+               the snapshot directory $(docv), with the Catalog.Service call of its kind, \
+               and fail unless the served answers are bit-identical.  With $(b,--drift), \
+               $(docv) is not needed (bare $(b,--verify)): the check asserts the drift \
+               stream's invariants — every answered estimate finite in [0,1], no protocol \
+               errors, and every operation class acknowledged.")
   in
   let rate_arg =
     Arg.(value & opt (some float) None & info [ "rate" ] ~docv:"QPS"
@@ -912,27 +914,16 @@ let loadgen_cmd =
   in
   let entry_arg =
     Arg.(value & opt (some string) None & info [ "entry" ] ~docv:"NAME"
-         ~doc:"The served entry $(b,--drift) targets (default: the first listed).")
-  in
-  let mix_arg =
-    Arg.(value & flag & info [ "mix" ]
-         ~doc:"Mixed-kind closed loop: each synthetic query matches its entry's kind — \
-               range selectivities, rectangle selectivities (0x08) and join sizes \
-               (0x09) — and per-kind latency groups are reported.  With $(b,--verify), \
-               every served answer is checked bit-identical against the direct \
-               Catalog.Service call of the same kind.")
+         ~doc:"The served range entry $(b,--drift) targets (default: the first range \
+               entry listed).")
   in
   let run socket port host connections queries batch seed verify rate duration_s max_clients
-      drift entry mix =
+      drift entry =
     if connections < 1 then or_die (Error "loadgen: --connections must be >= 1");
     if queries < 0 then or_die (Error "loadgen: --queries must be >= 0");
     if batch < 1 then or_die (Error "loadgen: --batch must be >= 1");
     if drift && rate = None then or_die (Error "loadgen: --drift needs --rate");
     if entry <> None && not drift then or_die (Error "loadgen: --entry only applies to --drift");
-    if mix && (drift || rate <> None) then
-      or_die (Error "loadgen: --mix is a closed-loop mode; drop --rate/--drift");
-    if mix && batch <> 1 then
-      or_die (Error "loadgen: --mix sends one exchange per query; drop --batch");
     (match rate with
     | Some r when r <= 0.0 -> or_die (Error "loadgen: --rate must be > 0")
     | Some _ when verify <> None && not drift ->
@@ -954,55 +945,26 @@ let loadgen_cmd =
       | Error e -> or_die (Error ("loadgen: ls: " ^ Server.Client.error_to_string e))
     in
     Server.Client.close client;
-    if mix then begin
-      let requests = Server.Loadgen.synthetic_mixed_requests ~entries ~count:queries ~seed in
-      let report = Server.Loadgen.run_mixed ~connections ~address requests in
-      print_endline (Server.Loadgen.report_to_string report);
-      match verify with
-      | None -> ()
-      | Some dir ->
-        (* Recompute each answer with the direct call of its kind; served
-           bytes must match exactly. *)
-        let svc = open_catalog dir in
-        let mismatches = ref 0 and checked = ref 0 in
-        Array.iteri
-          (fun i req ->
-            let served = report.Server.Loadgen.answers.(i) in
-            if not (Float.is_nan served) then begin
-              let direct =
-                match req with
-                | Server.Loadgen.Mix_range (name, a, b) ->
-                  or_die (Cat.answer_one svc ~name ~a ~b)
-                | Server.Loadgen.Mix_rect { m_entry; m_x_lo; m_x_hi; m_y_lo; m_y_hi } ->
-                  or_die
-                    (Cat.answer_rect svc ~name:m_entry ~x_lo:m_x_lo
-                       ~x_hi:m_x_hi ~y_lo:m_y_lo ~y_hi:m_y_hi)
-                | Server.Loadgen.Mix_join { m_entry; m_pred } ->
-                  or_die (Cat.answer_join svc ~name:m_entry ~pred:m_pred)
-              in
-              incr checked;
-              if Int64.bits_of_float served <> Int64.bits_of_float direct then
-                incr mismatches
-            end)
-          requests;
-        Printf.printf
-          "verify: %d/%d served answers bit-identical to direct Catalog.Service calls\n"
-          (!checked - !mismatches) !checked;
-        if !mismatches > 0 then
-          or_die (Error "loadgen: served answers diverge from direct calls")
-    end
-    else
     let requests = Server.Loadgen.synthetic_requests ~entries ~count:queries ~seed in
     match rate with
     | Some rate when drift ->
+      let is_range (e : Server.Wire.entry_info) = e.Server.Wire.kind = Selest.Stored.Range_kind in
       let target =
         match entry with
-        | None -> List.hd entries
+        | None -> (
+          match List.find_opt is_range entries with
+          | Some e -> e
+          | None -> or_die (Error "loadgen: --drift needs a range entry; the server has none"))
         | Some name -> (
           match
             List.find_opt (fun (e : Server.Wire.entry_info) -> e.Server.Wire.name = name) entries
           with
-          | Some e -> e
+          | Some e when is_range e -> e
+          | Some e ->
+            or_die
+              (Error
+                 (Printf.sprintf "loadgen: --drift needs a range entry; %S is a %s entry" name
+                    (Selest.Stored.kind_name e.Server.Wire.kind)))
           | None -> or_die (Error (Printf.sprintf "loadgen: no served entry named %S" name)))
       in
       let report =
@@ -1014,7 +976,7 @@ let loadgen_cmd =
         let protocolish =
           List.exists
             (fun (cls, _) -> cls = "protocol" || cls = "transport")
-            report.Server.Loadgen.d_open.Server.Loadgen.o_errors
+            report.Server.Loadgen.d_open.Server.Loadgen.o_summary.Server.Loadgen.errors
         in
         let failures = ref [] in
         if report.Server.Loadgen.d_est_invalid > 0 then
@@ -1034,42 +996,31 @@ let loadgen_cmd =
     | Some rate ->
       let report = Server.Loadgen.run_open_loop ~max_clients ~rate ~duration_s ~address requests in
       print_endline (Server.Loadgen.open_report_to_string report)
-    | None ->
+    | None -> (
       let report = Server.Loadgen.run ~batch ~connections ~address requests in
       print_endline (Server.Loadgen.report_to_string report);
-      (match verify with
+      match verify with
       | None -> ()
       | Some dir ->
-        let expected =
-          try Cat.answer (open_catalog dir) requests
-          with Invalid_argument msg -> or_die (Error msg)
-        in
-        let mismatches = ref 0 and checked = ref 0 in
-        Array.iteri
-          (fun i served ->
-            if not (Float.is_nan served) then begin
-              incr checked;
-              if Int64.bits_of_float served <> Int64.bits_of_float expected.(i) then
-                incr mismatches
-            end)
-          report.Server.Loadgen.answers;
-        Printf.printf "verify: %d/%d served answers bit-identical to direct Catalog.Service.answer\n"
-          (!checked - !mismatches) !checked;
-        if !mismatches > 0 then or_die (Error "loadgen: served answers diverge from direct calls"))
+        let checked, mismatched = Server.Loadgen.verify (open_catalog dir) requests report in
+        Printf.printf
+          "verify: %d/%d served answers bit-identical to direct Catalog.Service calls\n"
+          (checked - mismatched) checked;
+        if mismatched > 0 then or_die (Error "loadgen: served answers diverge from direct calls"))
   in
   let doc =
-    "Load generator against a running `selest serve': closed loop by default \
-     (--connections workers, peak capacity), mixed-kind closed loop with --mix \
-     (range + rectangle + join exchanges, per-kind latency groups), open loop with \
+    "Load generator against a running `selest serve': synthetic queries matched to \
+     each served entry's kind (range, rectangle, join) with per-kind latency groups; \
+     closed loop by default (--connections workers, peak capacity), open loop with \
      --rate (fixed arrival schedule, drop/late accounting, latency from scheduled \
      arrival), shifting-workload drift mode with --drift (inserts + feedback against \
-     an adaptive server); synthetic queries, exact p50/p95/p99, error classes \
+     an adaptive server); exact p50/p95/p99, error classes \
      (docs/SERVING.md, docs/ADAPTIVITY.md)."
   in
   Cmd.v (Cmd.info "loadgen" ~doc)
     Term.(const run $ socket_arg $ port_arg $ host_arg $ connections_arg
           $ queries_arg $ batch_arg $ seed_arg $ verify_dir_arg $ rate_arg
-          $ duration_arg $ max_clients_arg $ drift_arg $ entry_arg $ mix_arg)
+          $ duration_arg $ max_clients_arg $ drift_arg $ entry_arg)
 
 (* --- main --- *)
 

@@ -89,14 +89,9 @@ let () =
   (* The engine owns [svc], so verify against a second service opened
      cold on the same snapshot directory — exactly what --verify does. *)
   let direct, _ = Cat.open_dir dir in
-  let expected = Cat.answer direct requests in
-  let identical = ref 0 in
-  Array.iteri
-    (fun i served ->
-      if Int64.bits_of_float served = Int64.bits_of_float expected.(i) then incr identical)
-    report.Server.Loadgen.answers;
+  let checked, mismatched = Server.Loadgen.verify direct requests report in
   Printf.printf "verify: %d/%d served answers bit-identical to direct Cat.answer\n"
-    !identical (Array.length requests);
+    (checked - mismatched) (Array.length requests);
 
   (* --- Drain: stop accepting, answer what is in flight, exit --- *)
   Server.Engine.initiate_drain engine;

@@ -214,6 +214,11 @@ let config t = t.config
 let names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.index [] |> List.sort String.compare
 let mem t name = Hashtbl.mem t.index name
 
+let is_kind t name kind =
+  match Hashtbl.find t.index name with
+  | m -> m.kind = kind
+  | exception Not_found -> false
+
 let info_of t name (m : meta) =
   {
     name;

@@ -57,6 +57,11 @@ val names : t -> string list
 val mem : t -> string -> bool
 (** Whether an entry of that name is indexed (resident or on disk only). *)
 
+val is_kind : t -> string -> Selest.Stored.kind -> bool
+(** Whether an entry of that name is indexed with that summary kind —
+    {!mem} plus a kind check, without building an {!info} record, so the
+    serving engine can check every single estimate without allocating. *)
+
 type info = {
   name : string;
   kind : Selest.Stored.kind;  (** range, rect or join *)

@@ -104,7 +104,11 @@ let rpc t req =
       Wire.read_frame_into t.r fd
     with
     | -1 -> retry n "connection closed by server"
-    | -2 -> Error (Protocol (Wire.reader_error t.r))
+    | -2 ->
+      (* The stream is no longer frame-aligned: whatever follows would be
+         read as the next reply, so hang up. *)
+      disconnect t;
+      Error (Protocol (Wire.reader_error t.r))
     | len -> (
       match Wire.decode_response (Bytes.sub_string (Wire.reader_buffer t.r) 0 len) with
       | Ok resp -> Ok resp

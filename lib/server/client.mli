@@ -11,8 +11,10 @@
     for the idempotent operations (estimates are reads, invalidate
     re-marks, observe is a converging refinement) but {!insert} may
     offer its values twice if a reply is lost — acceptable for sampling,
-    noted in {!Wire.request.Insert}.  A client is single-threaded: give
-    each load-generator worker its own. *)
+    noted in {!Wire.request.Insert}.  A reply frame that is truncated or
+    oversized is a {!error.Protocol} error and closes the connection (the
+    stream is no longer frame-aligned), so the next call reconnects.  A
+    client is single-threaded: give each load-generator worker its own. *)
 
 type config = {
   connect_timeout_s : float;  (** non-blocking connect + select window *)
@@ -106,6 +108,6 @@ val observe : t -> entry:string -> a:float -> b:float -> actual:float -> (float,
     returns the refined in-memory estimate for the same range. *)
 
 val request : t -> Wire.request -> (Wire.response, error) result
-(** Escape hatch: send any request and return the raw decoded reply
-    (including [Error_reply], which the typed wrappers convert to
-    {!error.Server}). *)
+(** Send any request and return the raw decoded reply (including
+    [Error_reply], which the typed wrappers convert to {!error.Server});
+    the load generator's one exchange path. *)

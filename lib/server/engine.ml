@@ -221,6 +221,17 @@ let query_refusal t entry message =
     (if Service.mem t.service entry then Wire.Bad_request else Wire.Unknown_entry)
     message
 
+(* A range query against anything but a range entry: unknown entries
+   get the usual typed refusal, a rect or join entry is the caller's
+   mistake. *)
+let range_refusal t entry =
+  match Service.info t.service entry with
+  | None -> unknown_entry entry
+  | Some i ->
+    error_reply Wire.Bad_request
+      (Printf.sprintf "catalog entry %S is a %s entry, not range" entry
+         (Selest.Stored.kind_name i.Service.kind))
+
 (* An insert or observe the service refused: without adaptivity every
    write is a bad request, whatever the entry. *)
 let write_refusal t entry message =
@@ -258,7 +269,8 @@ let answer_staged t c n =
 let estimate t c =
   let sc = c.sc in
   let entry = sc.Wire.s_entry in
-  if not (Service.mem t.service entry) then unknown_entry entry
+  if not (Service.is_kind t.service entry Selest.Stored.Range_kind) then
+    range_refusal t entry
   else if
     sc.Wire.s_spec <> ""
     &&
@@ -305,8 +317,12 @@ let answer t c incoming =
       c.sc.Wire.s_q.Wire.sb <- b;
       estimate t c
     | Wire.Batch_estimate triples -> (
-      match Array.find_opt (fun (name, _, _) -> not (Service.mem t.service name)) triples with
-      | Some (name, _, _) -> unknown_entry name
+      match
+        Array.find_opt
+          (fun (name, _, _) -> not (Service.is_kind t.service name Selest.Stored.Range_kind))
+          triples
+      with
+      | Some (name, _, _) -> range_refusal t name
       | None ->
         let n = Array.length triples in
         ensure_capacity c n;

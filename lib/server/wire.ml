@@ -246,36 +246,56 @@ let encode_response resp =
    [string] so it can decode straight out of a connection's reusable
    [reader] buffer (below) without first copying the payload into a
    fresh string; string payloads wrap through [Bytes.unsafe_of_string],
-   which is safe here because the cursor only reads. *)
+   which is safe here because the cursor only reads.  Every field is
+   mutable so a request [scratch] can own one cursor and reset it per
+   frame instead of allocating a fresh one. *)
 exception Malformed of string
 
-type cursor = { data : Bytes.t; mutable pos : int; limit : int }
+type cursor = { mutable data : Bytes.t; mutable pos : int; mutable limit : int }
 
-let need cur n what =
-  if cur.pos + n > cur.limit then
-    raise (Malformed (Printf.sprintf "truncated %s at byte %d" what cur.pos))
+(* [need], [get_u8] and [get_f64] are inlined and the raise lives out
+   of line, so reading a well-formed field costs no call per byte. *)
+let truncated what pos = raise (Malformed (Printf.sprintf "truncated %s at byte %d" what pos))
 
-let get_u8 cur what =
+let[@inline] need cur n what = if cur.pos + n > cur.limit then truncated what cur.pos
+
+let[@inline] get_u8 cur what =
   need cur 1 what;
-  let v = Char.code (Bytes.get cur.data cur.pos) in
+  let v = Char.code (Bytes.unsafe_get cur.data cur.pos) in
   cur.pos <- cur.pos + 1;
   v
 
+(* Byte by byte when cut short, so the error names the missing byte. *)
 let get_u16 cur what =
-  let hi = get_u8 cur what in
-  let lo = get_u8 cur what in
-  (hi lsl 8) lor lo
+  let p = cur.pos in
+  if p + 2 <= cur.limit then begin
+    cur.pos <- p + 2;
+    (Char.code (Bytes.unsafe_get cur.data p) lsl 8) lor Char.code (Bytes.unsafe_get cur.data (p + 1))
+  end
+  else
+    let hi = get_u8 cur what in
+    let lo = get_u8 cur what in
+    (hi lsl 8) lor lo
 
 let get_u32 cur what =
   let a = get_u16 cur what in
   let b = get_u16 cur what in
   (a lsl 16) lor b
 
-let get_f64 cur what =
+(* [Bytes.get_int64_be] is an ordinary stdlib function, so without
+   cross-module inlining each call returns a {e boxed} int64.  Reading
+   through the compiler primitives instead, inlined at every call site,
+   keeps the whole load-swap-reinterpret chain unboxed, so storing the
+   result into a float record field allocates nothing (the bounds are
+   range-checked by [need] first, so the unsafe load is safe). *)
+external get_64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap_64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] get_f64 cur what =
   need cur 8 what;
-  let v = Int64.float_of_bits (Bytes.get_int64_be cur.data cur.pos) in
+  let bits = get_64u cur.data cur.pos in
   cur.pos <- cur.pos + 8;
-  v
+  Int64.float_of_bits (if Sys.big_endian then bits else swap_64 bits)
 
 let get_string16 cur what =
   let len = get_u16 cur what in
@@ -297,16 +317,13 @@ let rec bytes_eq_string data pos s i len =
   || (Bytes.unsafe_get data (pos + i) = String.unsafe_get s i
      && bytes_eq_string data pos s (i + 1) len)
 
-let intern_string data pos len prev =
-  if String.length prev = len && bytes_eq_string data pos prev 0 len then prev
-  else Bytes.sub_string data pos len
-
 let get_string16_interned cur prev what =
   let len = get_u16 cur what in
   need cur len what;
   let pos = cur.pos in
   cur.pos <- pos + len;
-  intern_string cur.data pos len prev
+  if String.length prev = len && bytes_eq_string cur.data pos prev 0 len then prev
+  else Bytes.sub_string cur.data pos len
 
 (* Counts are bounded by what could physically fit in a maximal frame, so
    a corrupt length cannot make the decoder allocate gigabytes. *)
@@ -354,67 +371,17 @@ let check_consumed kind cur =
     raise
       (Malformed (Printf.sprintf "%d trailing bytes after %s" (cur.limit - cur.pos) kind))
 
-let decode kind payload parse_op =
-  let cur = { data = Bytes.unsafe_of_string payload; pos = 0; limit = String.length payload } in
-  match
-    check_version cur;
-    let op = get_u8 cur "opcode" in
-    let msg = parse_op cur op in
-    check_consumed kind cur;
-    msg
-  with
-  | msg -> Ok msg
-  | exception Malformed why -> Error why
+(* ---- requests: one parser, decoding into a reusable scratch ----
 
-let parse_request_op cur = function
-  | 0x01 -> Ping
-  | 0x02 -> Ls
-  | 0x03 ->
-    let entry = get_string16 cur "entry name" in
-    let a = get_f64 cur "bound a" in
-    let b = get_f64 cur "bound b" in
-    let spec = get_string16 cur "spec" in
-    Estimate { entry; a; b; spec }
-  | 0x04 ->
-    let n = get_count cur ~item_bytes:18 "batch" in
-    Batch_estimate (Array.init n (fun _ -> get_triple cur))
-  | 0x05 -> Invalidate (get_string16 cur "entry name")
-  | 0x06 ->
-    let entry = get_string16 cur "entry name" in
-    let n = get_count cur ~item_bytes:8 "insert" in
-    Insert { entry; values = Array.init n (fun _ -> get_f64 cur "insert value") }
-  | 0x07 ->
-    let entry = get_string16 cur "entry name" in
-    let a = get_f64 cur "bound a" in
-    let b = get_f64 cur "bound b" in
-    let actual = get_f64 cur "observed selectivity" in
-    Observe { entry; a; b; actual }
-  | 0x08 ->
-    let entry = get_string16 cur "entry name" in
-    let x_lo = get_f64 cur "rect bound x_lo" in
-    let x_hi = get_f64 cur "rect bound x_hi" in
-    let y_lo = get_f64 cur "rect bound y_lo" in
-    let y_hi = get_f64 cur "rect bound y_hi" in
-    Estimate_rect { entry; x_lo; x_hi; y_lo; y_hi }
-  | 0x09 ->
-    let entry = get_string16 cur "entry name" in
-    let pred = pred_of_code (get_u8 cur "join predicate") in
-    Estimate_join { entry; pred }
-  | op -> raise (Malformed (Printf.sprintf "unknown request opcode 0x%02x" op))
-
-let decode_request payload = decode "request" payload parse_request_op
-
-(* ---- the reusable-scratch decode (the served read fast path) ----
-
-   [decode_request_scratch] is [decode_request] restructured so that the
-   hot opcode — a single Estimate — deposits its fields into a
-   caller-owned scratch record instead of building a fresh request value.
-   The float fields live in an all-float sub-record (unboxed by the
-   runtime's float-record representation), the strings are interned
-   against the previous frame's, and the result on the hot path is a
+   The hot opcode — a single Estimate — deposits its fields into the
+   caller-owned scratch instead of building a request value: the bounds
+   land in an all-float sub-record (unboxed by the runtime's float-record
+   representation), the strings are interned against the previous
+   frame's, the cursor is the scratch's own, and the result is a
    preallocated constant — so a connection asking single estimates for
    the same entry decodes with zero allocation.  Every other opcode
-   falls back to the allocating parser above, bit-for-bit. *)
+   builds its request value.  [decode_request] is this parser over a
+   fresh scratch, so the two entry points cannot disagree. *)
 
 type qnums = { mutable sa : float; mutable sb : float }
 
@@ -422,139 +389,140 @@ type scratch = {
   mutable s_entry : string;
   mutable s_spec : string;
   s_q : qnums;
+  s_cur : cursor;
 }
 
-let create_scratch () = { s_entry = ""; s_spec = ""; s_q = { sa = 0.0; sb = 0.0 } }
+let create_scratch () =
+  {
+    s_entry = "";
+    s_spec = "";
+    s_q = { sa = 0.0; sb = 0.0 };
+    s_cur = { data = Bytes.empty; pos = 0; limit = 0 };
+  }
 
 type incoming = Fast_estimate | Decoded of request
 
 let ok_fast_estimate : (incoming, string) result = Ok Fast_estimate
 
-(* [Bytes.get_int64_be] is an ordinary stdlib function, so without
-   cross-module inlining each call returns a {e boxed} int64 — 2 minor
-   words per bound, the last allocation left on the read path.  Reading
-   through the compiler primitives instead keeps the whole
-   load-swap-reinterpret chain unboxed (the bounds are range-checked by
-   [need] first, so the unsafe load is safe). *)
-external get_64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external swap_64 : int64 -> int64 = "%bswap_int64"
+let parse_request_op sc cur = function
+  | 0x01 -> Decoded Ping
+  | 0x02 -> Decoded Ls
+  | 0x03 ->
+    (* A string field is stored only when it changed: a repeated one
+       skips the write barrier too. *)
+    let entry = get_string16_interned cur sc.s_entry "entry name" in
+    if entry != sc.s_entry then sc.s_entry <- entry;
+    sc.s_q.sa <- get_f64 cur "bound a";
+    sc.s_q.sb <- get_f64 cur "bound b";
+    let spec = get_string16_interned cur sc.s_spec "spec" in
+    if spec != sc.s_spec then sc.s_spec <- spec;
+    Fast_estimate
+  | 0x04 ->
+    let n = get_count cur ~item_bytes:18 "batch" in
+    Decoded (Batch_estimate (Array.init n (fun _ -> get_triple cur)))
+  | 0x05 -> Decoded (Invalidate (get_string16 cur "entry name"))
+  | 0x06 ->
+    let entry = get_string16 cur "entry name" in
+    let n = get_count cur ~item_bytes:8 "insert" in
+    Decoded (Insert { entry; values = Array.init n (fun _ -> get_f64 cur "insert value") })
+  | 0x07 ->
+    let entry = get_string16 cur "entry name" in
+    let a = get_f64 cur "bound a" in
+    let b = get_f64 cur "bound b" in
+    let actual = get_f64 cur "observed selectivity" in
+    Decoded (Observe { entry; a; b; actual })
+  | 0x08 ->
+    let entry = get_string16 cur "entry name" in
+    let x_lo = get_f64 cur "rect bound x_lo" in
+    let x_hi = get_f64 cur "rect bound x_hi" in
+    let y_lo = get_f64 cur "rect bound y_lo" in
+    let y_hi = get_f64 cur "rect bound y_hi" in
+    Decoded (Estimate_rect { entry; x_lo; x_hi; y_lo; y_hi })
+  | 0x09 ->
+    let entry = get_string16 cur "entry name" in
+    let pred = pred_of_code (get_u8 cur "join predicate") in
+    Decoded (Estimate_join { entry; pred })
+  | op -> raise (Malformed (Printf.sprintf "unknown request opcode 0x%02x" op))
 
-(* Any frame the fast path below declines: every other opcode, and every
-   malformed single-estimate frame (so the error messages stay
-   bit-identical to [decode_request]'s).  Allocating the cursor record
-   here is fine — this path builds request values anyway. *)
-let decode_request_scratch_slow data ~len scratch =
-  let cur = { data; pos = 0; limit = len } in
+let decode_request_scratch data ~len sc =
+  let cur = sc.s_cur in
+  if cur.data != data then cur.data <- data;
+  cur.pos <- 0;
+  cur.limit <- len;
   match
     check_version cur;
-    get_u8 cur "opcode"
+    let incoming = parse_request_op sc cur (get_u8 cur "opcode") in
+    check_consumed "request" cur;
+    incoming
   with
+  | Fast_estimate -> ok_fast_estimate
+  | Decoded _ as incoming -> Ok incoming
   | exception Malformed why -> Error why
-  | 0x03 -> (
-    match
-      scratch.s_entry <- get_string16_interned cur scratch.s_entry "entry name";
-      need cur 16 "bounds";
-      let bits_a = get_64u cur.data cur.pos in
-      scratch.s_q.sa <-
-        Int64.float_of_bits (if Sys.big_endian then bits_a else swap_64 bits_a);
-      let bits_b = get_64u cur.data (cur.pos + 8) in
-      scratch.s_q.sb <-
-        Int64.float_of_bits (if Sys.big_endian then bits_b else swap_64 bits_b);
-      cur.pos <- cur.pos + 16;
-      scratch.s_spec <- get_string16_interned cur scratch.s_spec "spec";
-      check_consumed "request" cur
-    with
-    | () -> ok_fast_estimate
-    | exception Malformed why -> Error why)
-  | op -> (
-    match
-      let msg = parse_request_op cur op in
-      check_consumed "request" cur;
-      msg
-    with
-    | msg -> Ok (Decoded msg)
-    | exception Malformed why -> Error why)
 
-(* The hot path parses a well-formed single estimate with raw offsets —
-   even the 4-word cursor record would show up in the micro gate's
-   wire.decode row.  Every length is validated before the scratch is
-   touched; anything that doesn't check out falls back to the slow path
-   above, whose accept/reject behaviour is the reference. *)
-let decode_request_scratch data ~len scratch =
-  if
-    len >= 4
-    && Bytes.unsafe_get data 0 = '\x03' (* the version byte *)
-    && Bytes.unsafe_get data 1 = '\x03' (* the Estimate opcode *)
-  then begin
-    let elen =
-      (Char.code (Bytes.unsafe_get data 2) lsl 8) lor Char.code (Bytes.unsafe_get data 3)
-    in
-    if len >= 22 + elen then begin
-      let slen =
-        (Char.code (Bytes.unsafe_get data (20 + elen)) lsl 8)
-        lor Char.code (Bytes.unsafe_get data (21 + elen))
-      in
-      if len = 22 + elen + slen then begin
-        scratch.s_entry <- intern_string data 4 elen scratch.s_entry;
-        let bits_a = get_64u data (4 + elen) in
-        scratch.s_q.sa <-
-          Int64.float_of_bits (if Sys.big_endian then bits_a else swap_64 bits_a);
-        let bits_b = get_64u data (12 + elen) in
-        scratch.s_q.sb <-
-          Int64.float_of_bits (if Sys.big_endian then bits_b else swap_64 bits_b);
-        scratch.s_spec <- intern_string data (22 + elen) slen scratch.s_spec;
-        ok_fast_estimate
-      end
-      else decode_request_scratch_slow data ~len scratch
-    end
-    else decode_request_scratch_slow data ~len scratch
-  end
-  else decode_request_scratch_slow data ~len scratch
+let decode_request payload =
+  let sc = create_scratch () in
+  match
+    decode_request_scratch (Bytes.unsafe_of_string payload) ~len:(String.length payload) sc
+  with
+  | Ok Fast_estimate ->
+    Ok (Estimate { entry = sc.s_entry; a = sc.s_q.sa; b = sc.s_q.sb; spec = sc.s_spec })
+  | Ok (Decoded req) -> Ok req
+  | Error why -> Error why
+
+let parse_response_op cur = function
+  | 0x81 -> Pong
+  | 0x82 ->
+    let n = get_count cur ~item_bytes:27 "ls" in
+    Ls_reply
+      (List.init n (fun _ ->
+           let name = get_string16 cur "ls name" in
+           let spec = get_string16 cur "ls spec" in
+           let cells = get_u32 cur "ls cells" in
+           let stale =
+             match get_u8 cur "ls stale flag" with
+             | 0 -> false
+             | 1 -> true
+             | v -> raise (Malformed (Printf.sprintf "malformed stale flag %d" v))
+           in
+           let lo = get_f64 cur "ls domain lo" in
+           let hi = get_f64 cur "ls domain hi" in
+           let kind = kind_of_code (get_u8 cur "ls kind") in
+           let domain_y =
+             match get_u8 cur "ls domain_y flag" with
+             | 0 -> None
+             | 1 ->
+               let ylo = get_f64 cur "ls domain_y lo" in
+               let yhi = get_f64 cur "ls domain_y hi" in
+               Some (ylo, yhi)
+             | v -> raise (Malformed (Printf.sprintf "malformed domain_y flag %d" v))
+           in
+           { name; spec; cells; stale; domain = (lo, hi); kind; domain_y }))
+  | 0x83 -> Estimate_reply (get_f64 cur "estimate reply")
+  | 0x84 ->
+    let n = get_count cur ~item_bytes:8 "batch reply" in
+    Batch_reply (Array.init n (fun _ -> get_f64 cur "batch reply value"))
+  | 0x85 -> Invalidated
+  | 0x86 ->
+    let sampled = get_u32 cur "inserted sampled count" in
+    let seen = get_u32 cur "inserted seen count" in
+    Inserted { sampled; seen }
+  | 0x87 -> Observed (get_f64 cur "observed reply")
+  | 0x8f ->
+    let code = error_of_code (get_u8 cur "error code") in
+    let message = get_string16 cur "error message" in
+    Error_reply { code; message }
+  | op -> raise (Malformed (Printf.sprintf "unknown response opcode 0x%02x" op))
 
 let decode_response payload =
-  decode "response" payload (fun cur -> function
-    | 0x81 -> Pong
-    | 0x82 ->
-      let n = get_count cur ~item_bytes:27 "ls" in
-      Ls_reply
-        (List.init n (fun _ ->
-             let name = get_string16 cur "ls name" in
-             let spec = get_string16 cur "ls spec" in
-             let cells = get_u32 cur "ls cells" in
-             let stale =
-               match get_u8 cur "ls stale flag" with
-               | 0 -> false
-               | 1 -> true
-               | v -> raise (Malformed (Printf.sprintf "malformed stale flag %d" v))
-             in
-             let lo = get_f64 cur "ls domain lo" in
-             let hi = get_f64 cur "ls domain hi" in
-             let kind = kind_of_code (get_u8 cur "ls kind") in
-             let domain_y =
-               match get_u8 cur "ls domain_y flag" with
-               | 0 -> None
-               | 1 ->
-                 let ylo = get_f64 cur "ls domain_y lo" in
-                 let yhi = get_f64 cur "ls domain_y hi" in
-                 Some (ylo, yhi)
-               | v -> raise (Malformed (Printf.sprintf "malformed domain_y flag %d" v))
-             in
-             { name; spec; cells; stale; domain = (lo, hi); kind; domain_y }))
-    | 0x83 -> Estimate_reply (get_f64 cur "estimate reply")
-    | 0x84 ->
-      let n = get_count cur ~item_bytes:8 "batch reply" in
-      Batch_reply (Array.init n (fun _ -> get_f64 cur "batch reply value"))
-    | 0x85 -> Invalidated
-    | 0x86 ->
-      let sampled = get_u32 cur "inserted sampled count" in
-      let seen = get_u32 cur "inserted seen count" in
-      Inserted { sampled; seen }
-    | 0x87 -> Observed (get_f64 cur "observed reply")
-    | 0x8f ->
-      let code = error_of_code (get_u8 cur "error code") in
-      let message = get_string16 cur "error message" in
-      Error_reply { code; message }
-    | op -> raise (Malformed (Printf.sprintf "unknown response opcode 0x%02x" op)))
+  let cur = { data = Bytes.unsafe_of_string payload; pos = 0; limit = String.length payload } in
+  match
+    check_version cur;
+    let resp = parse_response_op cur (get_u8 cur "opcode") in
+    check_consumed "response" cur;
+    resp
+  with
+  | resp -> Ok resp
+  | exception Malformed why -> Error why
 
 (* ---------------- frame I/O ---------------- *)
 

@@ -27,7 +27,7 @@ val sockaddr_of_address : address -> Unix.sockaddr
     @raise Failure on a [Tcp] host that is not a literal IP address. *)
 
 val version : int
-(** Protocol version spoken by this build ([3]); both decoders reject
+(** Protocol version spoken by this build ([3]); the decoders reject
     payloads carrying any other version byte.  Version 2 added the
     adaptivity pair {!request.Insert}/{!request.Observe} (and their
     replies); version 3 adds the multidimensional pair
@@ -126,7 +126,9 @@ val encode_request : request -> string
 
 val decode_request : string -> (request, string) result
 (** Total inverse of {!encode_request}: [Error] describes the first
-    malformed field and trailing bytes are rejected.  Never raises. *)
+    malformed field and trailing bytes are rejected.  Never raises.
+    {!decode_request_scratch} over a fresh scratch, with a single
+    estimate rebuilt as its {!request.Estimate} value. *)
 
 val encode_response : response -> string
 (** Serialize a response payload.  @raise Invalid_argument on a string
@@ -201,10 +203,14 @@ type qnums = { mutable sa : float; mutable sb : float }
     the runtime stores them unboxed and redecoding touches no
     allocator. *)
 
+type cursor
+(** The read position over the frame being decoded. *)
+
 type scratch = {
-  mutable s_entry : string;  (** entry name of the last fast estimate *)
-  mutable s_spec : string;  (** spec pin of the last fast estimate *)
-  s_q : qnums;  (** range bounds of the last fast estimate *)
+  mutable s_entry : string;  (** entry name of the last single estimate *)
+  mutable s_spec : string;  (** spec pin of the last single estimate *)
+  s_q : qnums;  (** range bounds of the last single estimate *)
+  s_cur : cursor;  (** the decoder's cursor, reset on each frame *)
 }
 (** A reusable decoded-request record for the hot opcode (single
     estimate).  String fields are interned against the previous frame —
@@ -218,16 +224,17 @@ val create_scratch : unit -> scratch
 type incoming =
   | Fast_estimate
       (** the frame was a single estimate; its fields are in the scratch *)
-  | Decoded of request  (** any other opcode, parsed as {!decode_request} *)
+  | Decoded of request  (** any other opcode, as a request value *)
 
 val decode_request_scratch :
   Bytes.t -> len:int -> scratch -> (incoming, string) result
 (** [decode_request_scratch buf ~len scratch] decodes the request in
-    [buf.[0..len-1]] — {!decode_request} restructured so the hot opcode
-    deposits into [scratch] (returning a preallocated [Ok Fast_estimate])
-    instead of building a request value.  Identical accept/reject
-    behaviour and field values to {!decode_request} on every input.
-    Never raises. *)
+    [buf.[0..len-1]]: a single estimate deposits into [scratch] (returning
+    a preallocated [Ok Fast_estimate]), every other opcode comes back as
+    its request value.  This is the only request parser —
+    {!decode_request} runs it over a fresh scratch — so both entry points
+    accept and reject the same inputs, with the same field values and the
+    same error message.  Never raises. *)
 
 val equal_request : request -> request -> bool
 (** Structural equality with floats compared by their IEEE-754 bits, so

@@ -207,6 +207,25 @@ let scratch_agrees payload =
   | Error m, Error m' -> String.equal m m'
   | _ -> false
 
+(* Fixed inputs the two decoders once answered differently: an estimate
+   cut off inside its second bound, inside its first, and inside its
+   spec string. *)
+let test_scratch_agrees_on_truncated_estimates () =
+  let estimate_prefix = "\x03\x03\x00\x01x" in
+  List.iter
+    (fun (label, payload, message) ->
+      check Alcotest.bool (label ^ ": decoders agree") true (scratch_agrees payload);
+      match Wire.decode_request payload with
+      | Error m -> check Alcotest.string (label ^ ": message") message m
+      | Ok req -> Alcotest.failf "%s decoded to %s" label (Wire.request_to_string req))
+    [
+      ("inside bound b", estimate_prefix ^ String.make 12 '\x00', "truncated bound b at byte 13");
+      ("inside bound a", estimate_prefix ^ String.make 3 '\x00', "truncated bound a at byte 5");
+      ( "inside the spec",
+        estimate_prefix ^ String.make 16 '\x00' ^ "\x00\x05ab",
+        "truncated spec at byte 23" );
+    ]
+
 let qcheck_scratch_decode_agrees =
   QCheck.Test.make ~count:500 ~name:"scratch decode agrees with decode_request"
     request_arb (fun req -> scratch_agrees (Wire.encode_request req))
@@ -426,33 +445,37 @@ let test_loadgen_32_connections () =
       let entries = or_fail_client (Client.ls client) in
       let requests = Loadgen.synthetic_requests ~entries ~count:640 ~seed:11L in
       let report = Loadgen.run ~connections:32 ~address requests in
+      let s = report.Loadgen.summary in
       check Alcotest.int "32 connections" 32 report.Loadgen.connections;
       check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "zero errors" []
-        report.Loadgen.errors;
-      check Alcotest.int "every query answered" 640 report.Loadgen.ok;
+        s.Loadgen.errors;
+      check Alcotest.int "every query answered" 640 s.Loadgen.ok;
       check Alcotest.bool "percentiles ordered" true
-        (report.Loadgen.p50_ms <= report.Loadgen.p95_ms
-        && report.Loadgen.p95_ms <= report.Loadgen.p99_ms
-        && report.Loadgen.p99_ms <= report.Loadgen.max_ms);
+        (s.Loadgen.p50_ms <= s.Loadgen.p95_ms
+        && s.Loadgen.p95_ms <= s.Loadgen.p99_ms
+        && s.Loadgen.p99_ms <= s.Loadgen.max_ms);
       check Alcotest.bool "throughput positive" true (report.Loadgen.throughput_qps > 0.0);
+      check (Alcotest.list Alcotest.string) "one range group" [ "range" ]
+        (List.map fst s.Loadgen.groups);
       (* Acceptance gate: every served answer bit-identical to a direct
          Catalog.Service.answer on the same snapshot dir, whatever the
          interleaving and batching across 32 connections. *)
       let direct_svc, _ = Service.open_dir dir in
-      let direct = Service.answer direct_svc requests in
-      Array.iteri
-        (fun i served ->
-          if Int64.bits_of_float served <> Int64.bits_of_float direct.(i) then
-            Alcotest.failf "request %d: served %h, direct %h" i served direct.(i))
-        report.Loadgen.answers;
+      check (Alcotest.pair Alcotest.int Alcotest.int) "singles verified" (640, 0)
+        (Loadgen.verify direct_svc requests report);
       (* Batched frames hit the same answers. *)
       let batched = Loadgen.run ~batch:8 ~connections:32 ~address requests in
-      check Alcotest.int "batched all answered" 640 batched.Loadgen.ok;
-      Array.iteri
-        (fun i served ->
-          if Int64.bits_of_float served <> Int64.bits_of_float direct.(i) then
-            Alcotest.failf "batched request %d: served %h, direct %h" i served direct.(i))
-        batched.Loadgen.answers)
+      check Alcotest.int "batched all answered" 640 batched.Loadgen.summary.Loadgen.ok;
+      check (Alcotest.pair Alcotest.int Alcotest.int) "batched verified" (640, 0)
+        (Loadgen.verify direct_svc requests batched);
+      (* The check has teeth: one flipped bit is a mismatch. *)
+      (match batched.Loadgen.replies.(0) with
+      | Some (Wire.Estimate_reply v) ->
+        batched.Loadgen.replies.(0) <-
+          Some (Wire.Estimate_reply (Int64.float_of_bits (Int64.logxor 1L (Int64.bits_of_float v))))
+      | _ -> Alcotest.fail "batched reply 0 is not an estimate");
+      check (Alcotest.pair Alcotest.int Alcotest.int) "a flipped bit is caught" (640, 1)
+        (Loadgen.verify direct_svc requests batched))
 
 (* Satellite: kill-and-reconnect.  Loadgen traffic is in flight when
    SIGTERM lands; the drain must answer everything already admitted,
@@ -478,7 +501,9 @@ let test_sigterm_drain_and_reconnect () =
   let client_b = or_fail_client (Client.connect address) in
   (* Background loadgen traffic during the kill. *)
   let traffic_requests =
-    Array.init 64 (fun i -> ("orders/amount", 1.0 +. float_of_int (i mod 13), 50.0))
+    Array.init 64 (fun i ->
+        Wire.Estimate
+          { entry = "orders/amount"; a = 1.0 +. float_of_int (i mod 13); b = 50.0; spec = "" })
   in
   let traffic = ref None in
   let traffic_thread =
@@ -516,22 +541,15 @@ let test_sigterm_drain_and_reconnect () =
   | Error e -> Alcotest.failf "in-flight request not drained: %s" (Client.error_to_string e));
   (* Traffic answered before the drain is bit-identical; later queries
      failed with the typed draining class only. *)
-  let traffic_expected = Service.answer direct_svc traffic_requests in
   (match !traffic with
   | None -> Alcotest.fail "loadgen traffic never finished"
   | Some r ->
-    Array.iteri
-      (fun i served ->
-        if not (Float.is_nan served) then
-          check Alcotest.bool
-            (Printf.sprintf "traffic answer %d bit-identical" i)
-            true
-            (Int64.bits_of_float served = Int64.bits_of_float traffic_expected.(i)))
-      r.Loadgen.answers;
+    check Alcotest.int "traffic answers bit-identical" 0
+      (snd (Loadgen.verify direct_svc traffic_requests r));
     List.iter
       (fun (cls, _) ->
         if cls <> "draining" then Alcotest.failf "unexpected traffic error class %s" cls)
-      r.Loadgen.errors);
+      r.Loadgen.summary.Loadgen.errors);
   check Alcotest.int "drained with no protocol errors" 0
     (Engine.stats engine).Engine.protocol_errors;
   (* The socket is gone: new connects are refused. *)
@@ -822,6 +840,24 @@ let test_rect_join_requests () =
           | Ok _ -> Alcotest.fail "join query answered by a rect entry"
           | Error e ->
             Alcotest.failf "expected bad_request, got %s" (Client.error_to_string e));
+          (* So are range queries against the rect and join entries,
+             single or batched. *)
+          List.iter
+            (fun entry ->
+              let expect_bad_request what = function
+                | Error (Client.Server (Wire.Bad_request, _)) -> ()
+                | Ok _ -> Alcotest.failf "%s answered by %s" what entry
+                | Error e ->
+                  Alcotest.failf "%s against %s: expected bad_request, got %s" what entry
+                    (Client.error_to_string e)
+              in
+              expect_bad_request "estimate"
+                (Result.map ignore (Client.estimate client ~entry ~a:0.0 ~b:1.0));
+              expect_bad_request "batch_estimate"
+                (Result.map ignore
+                   (Client.batch_estimate client
+                      [| ("orders/amount", 0.0, 1.0); (entry, 0.0, 1.0) |])))
+            [ "orders/amount_x_qty"; "orders_join_users" ];
           (match
              Client.estimate_rect client ~entry:"ghost" ~x_lo:0.0 ~x_hi:1.0
                ~y_lo:0.0 ~y_hi:1.0
@@ -853,7 +889,7 @@ let test_rect_join_requests () =
 
 (* A mixed range/rect/join workload over eight connections answers
    bit-identically to the direct Catalog.Service call of each kind, and
-   run_mixed reports per-kind latency groups. *)
+   the run reports per-kind latency groups. *)
 let test_mixed_bit_identity () =
   let dir = fresh_dir () in
   let svc, _ = Service.open_dir dir in
@@ -870,39 +906,25 @@ let test_mixed_bit_identity () =
         let client = or_fail_client (Client.connect address) in
         let entries = or_fail_client (Client.ls client) in
         Client.close client;
-        let requests = Loadgen.synthetic_mixed_requests ~entries ~count:240 ~seed:17L in
-        (requests, Loadgen.run_mixed ~connections:8 ~address requests))
+        let requests = Loadgen.synthetic_requests ~entries ~count:240 ~seed:17L in
+        (requests, Loadgen.run ~connections:8 ~address requests))
   in
   check Alcotest.bool "workload mixes all three kinds" true
-    (List.sort_uniq compare (Array.to_list (Array.map Loadgen.mixed_kind requests))
+    (List.sort_uniq compare (Array.to_list (Array.map Loadgen.request_kind requests))
     = [ "join"; "range"; "rect" ]);
+  let s = r.Loadgen.summary in
   check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "zero errors" []
-    r.Loadgen.errors;
-  check Alcotest.int "all answered" 240 r.Loadgen.ok;
+    s.Loadgen.errors;
+  check Alcotest.int "all answered" 240 s.Loadgen.ok;
   let direct_svc, _ = Service.open_dir dir in
-  Array.iteri
-    (fun i req ->
-      let direct =
-        match req with
-        | Loadgen.Mix_range (entry, a, b) ->
-          or_fail (Service.answer_one direct_svc ~name:entry ~a ~b)
-        | Loadgen.Mix_rect { m_entry; m_x_lo; m_x_hi; m_y_lo; m_y_hi } ->
-          or_fail
-            (Service.answer_rect direct_svc ~name:m_entry ~x_lo:m_x_lo ~x_hi:m_x_hi
-               ~y_lo:m_y_lo ~y_hi:m_y_hi)
-        | Loadgen.Mix_join { m_entry; m_pred } ->
-          or_fail (Service.answer_join direct_svc ~name:m_entry ~pred:m_pred)
-      in
-      if Int64.bits_of_float r.Loadgen.answers.(i) <> Int64.bits_of_float direct then
-        Alcotest.failf "request %d (%s): served %h, direct %h" i (Loadgen.mixed_kind req)
-          r.Loadgen.answers.(i) direct)
-    requests;
-  (* Per-kind latency groups are always on for mixed runs. *)
+  check (Alcotest.pair Alcotest.int Alcotest.int) "every kind bit-identical" (240, 0)
+    (Loadgen.verify direct_svc requests r);
+  (* Per-kind latency groups are always reported. *)
   check (Alcotest.list Alcotest.string) "per-kind groups reported" [ "join"; "range"; "rect" ]
-    (List.map fst r.Loadgen.groups);
+    (List.map fst s.Loadgen.groups);
   List.iter
     (fun (_, g) -> check Alcotest.bool "group populated" true (g.Loadgen.g_n > 0))
-    r.Loadgen.groups
+    s.Loadgen.groups
 
 (* Open-loop generator sanity: the arrival schedule is honored (offered
    ~= rate * duration), accounting is consistent, and at a tame rate
@@ -916,14 +938,173 @@ let test_open_loop_smoke () =
         (r.Loadgen.offered >= 90 && r.Loadgen.offered <= 110);
       check Alcotest.int "sent + dropped = offered" r.Loadgen.offered
         (r.Loadgen.sent + r.Loadgen.dropped);
+      let s = r.Loadgen.o_summary in
       check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "zero errors" []
-        r.Loadgen.o_errors;
-      check Alcotest.int "every sent arrival answered" r.Loadgen.sent r.Loadgen.o_ok;
+        s.Loadgen.errors;
+      check Alcotest.int "every sent arrival answered" r.Loadgen.sent s.Loadgen.ok;
       check Alcotest.bool "achieved rate positive" true (r.Loadgen.achieved_qps > 0.0);
       check Alcotest.bool "percentiles ordered" true
-        (r.Loadgen.o_p50_ms <= r.Loadgen.o_p95_ms
-        && r.Loadgen.o_p95_ms <= r.Loadgen.o_p99_ms
-        && r.Loadgen.o_p99_ms <= r.Loadgen.o_max_ms))
+        (s.Loadgen.p50_ms <= s.Loadgen.p95_ms
+        && s.Loadgen.p95_ms <= s.Loadgen.p99_ms
+        && s.Loadgen.p99_ms <= s.Loadgen.max_ms))
+
+(* A range query whose entry is indexed but whose snapshot cannot be
+   read is a server-side failure: typed Internal, single or batched. *)
+let test_unreadable_snapshot_is_internal () =
+  let dir = fresh_dir () in
+  (* Capacity 1: building users/age evicts orders/amount, so the next
+     query of orders/amount must reload its snapshot. *)
+  let svc, _ = Service.open_dir ~config:{ Service.default_config with Service.capacity = 1 } dir in
+  build_two svc;
+  let oc = open_out_bin (Catalog.Snapshot.path ~dir "orders/amount") in
+  output_string oc "garbage";
+  close_out oc;
+  let address = Wire.Unix_socket (sock_path ()) in
+  let engine = Engine.create ~service:svc address in
+  let server = Thread.create Engine.serve engine in
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.initiate_drain engine;
+      Thread.join server)
+    (fun () ->
+      let client = or_fail_client (Client.connect address) in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          let expect_internal what = function
+            | Error (Client.Server (Wire.Internal, _)) -> ()
+            | Ok _ -> Alcotest.failf "%s of an unreadable snapshot answered" what
+            | Error e ->
+              Alcotest.failf "%s: expected internal, got %s" what (Client.error_to_string e)
+          in
+          expect_internal "estimate"
+            (Result.map ignore (Client.estimate client ~entry:"orders/amount" ~a:0.0 ~b:1.0));
+          expect_internal "batch_estimate"
+            (Result.map ignore
+               (Client.batch_estimate client [| ("orders/amount", 0.0, 1.0) |]))))
+
+(* A reply frame with an oversized header leaves the stream misaligned:
+   the client must hang up, so its next request reconnects instead of
+   reading the bytes that followed as its reply.  The server here is a
+   raw Unix socket that answers the first ping with a bad header and a
+   stale pong. *)
+let test_client_hangs_up_on_framing_error () =
+  let path = sock_path () in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 4;
+  let pong = "\x00\x00\x00\x02\x03\x81" in
+  let read_ping fd =
+    let buf = Bytes.create 6 in
+    let rec go off =
+      if off < 6 then
+        match Unix.read fd buf off (6 - off) with
+        | 0 -> failwith "peer closed before a full ping"
+        | n -> go (off + n)
+    in
+    go 0;
+    check Alcotest.string "a ping frame" "\x00\x00\x00\x02\x03\x01" (Bytes.to_string buf)
+  in
+  let write fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+  let second_ping = ref "never arrived" in
+  let fake () =
+    let c1, _ = Unix.accept lfd in
+    read_ping c1;
+    write c1 ("\x7f\xff\xff\xff" ^ pong);
+    (* Where does the next ping arrive? *)
+    let rec await c1_open =
+      let watched = if c1_open then [ lfd; c1 ] else [ lfd ] in
+      match Unix.select watched [] [] 5.0 with
+      | [], _, _ -> ()
+      | ready, _, _ when List.mem lfd ready ->
+        let c2, _ = Unix.accept lfd in
+        read_ping c2;
+        write c2 pong;
+        second_ping := "second connection";
+        Unix.close c2
+      | _ -> (
+        (* A hangup with our reply unread may surface as a reset. *)
+        match Unix.read c1 (Bytes.create 6) 0 6 with
+        | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> await false
+        | _ -> second_ping := "first connection")
+    in
+    await true;
+    Unix.close c1
+  in
+  let server = Thread.create fake () in
+  let client = Client.create (Wire.Unix_socket path) in
+  (match Client.ping client with
+  | Error (Client.Protocol _) -> ()
+  | Ok () -> Alcotest.fail "ping 1 accepted an oversized reply frame"
+  | Error e -> Alcotest.failf "ping 1: expected a protocol error, got %s" (Client.error_to_string e));
+  or_fail_client (Client.ping client);
+  Thread.join server;
+  Client.close client;
+  Unix.close lfd;
+  Sys.remove path;
+  check Alcotest.string "ping 2 reconnected" "second connection" !second_ping
+
+(* The drift generator against an adaptive server whose catalog holds
+   all three kinds: it targets the range entry (and refuses the others),
+   its accounting is consistent, every write is acknowledged, and the
+   inserts trigger at least one background swap. *)
+let test_drift_over_three_kinds () =
+  let dir = fresh_dir () in
+  let svc, _ =
+    Service.open_dir
+      ~config:{ Service.default_config with Service.rebuild_after_inserts = 200 }
+      dir
+  in
+  build_three_kinds svc;
+  Service.enable_adaptive svc;
+  let address = Wire.Unix_socket (sock_path ()) in
+  let engine = Engine.create ~service:svc address in
+  let server = Thread.create Engine.serve engine in
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Engine.initiate_drain engine;
+        Thread.join server)
+      (fun () ->
+        let client = or_fail_client (Client.connect address) in
+        let entries = or_fail_client (Client.ls client) in
+        Client.close client;
+        let is_range (e : Wire.entry_info) = e.Wire.kind = Selest.Stored.Range_kind in
+        List.iter
+          (fun (e : Wire.entry_info) ->
+            if not (is_range e) then
+              match
+                Loadgen.run_drift ~rate:100.0 ~duration_s:0.1 ~entry:e ~address ()
+              with
+              | _ -> Alcotest.failf "drift accepted the %s entry" e.Wire.name
+              | exception Invalid_argument _ -> ())
+          entries;
+        let entry = List.find is_range entries in
+        check Alcotest.string "targets the range entry" "orders/amount" entry.Wire.name;
+        let r =
+          Loadgen.run_drift ~max_clients:8 ~rate:400.0 ~duration_s:1.0 ~entry ~address ()
+        in
+        (* 2 400 inserted values against a 200-insert budget: wait for the
+           background rebuild to land. *)
+        let deadline = Unix.gettimeofday () +. 5.0 in
+        while (Engine.stats engine).Engine.swaps = 0 && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done;
+        r)
+  in
+  let o = r.Loadgen.d_open in
+  check Alcotest.int "offered = sent + dropped" o.Loadgen.offered
+    (o.Loadgen.sent + o.Loadgen.dropped);
+  check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "zero errors" []
+    o.Loadgen.o_summary.Loadgen.errors;
+  check Alcotest.int "no invalid estimate" 0 r.Loadgen.d_est_invalid;
+  check Alcotest.bool "estimates answered" true
+    (r.Loadgen.d_est_ok > 0 && r.Loadgen.d_est_ok = r.Loadgen.d_estimates);
+  check Alcotest.bool "inserts acknowledged" true
+    (r.Loadgen.d_insert_ok > 0 && r.Loadgen.d_insert_ok = r.Loadgen.d_inserts);
+  check Alcotest.bool "observes acknowledged" true
+    (r.Loadgen.d_observe_ok > 0 && r.Loadgen.d_observe_ok = r.Loadgen.d_observes);
+  check Alcotest.bool "at least one swap" true ((Engine.stats engine).Engine.swaps >= 1)
 
 let () =
   Alcotest.run "server"
@@ -936,6 +1117,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_truncation_is_error;
           QCheck_alcotest.to_alcotest qcheck_scratch_decode_agrees;
           QCheck_alcotest.to_alcotest qcheck_scratch_decode_agrees_on_noise;
+          Alcotest.test_case "scratch decode agrees on truncated estimates" `Quick
+            test_scratch_agrees_on_truncated_estimates;
           Alcotest.test_case "scratch decode interns repeated strings" `Quick
             test_scratch_interning;
           Alcotest.test_case "malformed payload cases" `Quick test_wire_malformed_cases;
@@ -952,6 +1135,10 @@ let () =
           Alcotest.test_case "admission control backpressure" `Quick
             test_overload_backpressure;
           Alcotest.test_case "deadline expiry is typed" `Quick test_deadline_timeout;
+          Alcotest.test_case "unreadable snapshot answers internal" `Quick
+            test_unreadable_snapshot_is_internal;
+          Alcotest.test_case "client hangs up on a framing error" `Quick
+            test_client_hangs_up_on_framing_error;
         ] );
       ( "loadgen",
         [
@@ -971,6 +1158,8 @@ let () =
             test_adaptive_insert_observe_e2e;
           Alcotest.test_case "4 connections interleave reads and writes, clean drain"
             `Quick test_adaptive_concurrent_connections;
+          Alcotest.test_case "drift over three kinds targets the range entry" `Quick
+            test_drift_over_three_kinds;
         ] );
       ( "rect-join",
         [
