@@ -1505,6 +1505,9 @@ let micro_floors =
     ("catalog.answer", 1.3);
   ]
 
+(* The most a 50%-wide stored query may cost against a 1%-wide one. *)
+let micro_width_ratio = 2.0
+
 let micro () =
   header "micro: per-estimate cost, scalar closure path vs compiled batch path";
   let ds = dataset "u(20)" in
@@ -1570,6 +1573,27 @@ let micro () =
         out.(i) <- Selest.Stored.selectivity stored ~a:qa.(i) ~b:qb.(i)
       done)
     (fun () -> Selest.Stored.selectivity_into stored ~pos:0 ~len:n ~a:qa ~b:qb ~out);
+  (* The width sweep: the same probe at 1%, 10% and 50% of the domain on a
+     4096-cell summary, where a per-cell walk would show as cost growing
+     with width. *)
+  let wide = Selest.Stored.of_sample ~cells:4096 ~domain s in
+  let width_batches = ref [] in
+  List.iter
+    (fun pct ->
+      let qs = queries ~fraction:(float_of_int pct /. 100.0) ds in
+      let m = Array.length qs in
+      let wa = Array.map (fun q -> q.Workload.Query.lo) qs in
+      let wb = Array.map (fun q -> q.Workload.Query.hi) qs in
+      let wout = Array.make m 0.0 in
+      let batch () = Selest.Stored.selectivity_into wide ~pos:0 ~len:m ~a:wa ~b:wb ~out:wout in
+      width_batches := (pct, (batch, m)) :: !width_batches;
+      row (Printf.sprintf "stored.w%d" pct)
+        (fun () ->
+          for i = 0 to m - 1 do
+            wout.(i) <- Selest.Stored.selectivity wide ~a:wa.(i) ~b:wb.(i)
+          done)
+        batch)
+    [ 1; 10; 50 ];
   (* The serving layer end to end: the former grouped-Hashtbl answer path
      against answer_into over the same run-structured batch. *)
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "selest_bench_micro" in
@@ -1649,6 +1673,25 @@ let micro () =
           Printf.printf "GATE FAIL: %s speedup %.2fx below its %.1fx floor\n" op sp floor
         end)
     micro_floors;
+  (* Width gate: a served range answer must cost the same at any width.
+     Best of three interleaved timings per side, so a slow spell on a
+     shared host lands on both sides rather than on one row. *)
+  let f1, m1 = List.assoc 1 !width_batches and f50, m50 = List.assoc 50 !width_batches in
+  let t1 = ref Float.infinity and t50 = ref Float.infinity in
+  for _ = 1 to 3 do
+    t1 := Float.min !t1 (ns_per_op f1 m1);
+    t50 := Float.min !t50 (ns_per_op f50 m50)
+  done;
+  let ratio = !t50 /. !t1 in
+  Record.note_extra ~key:"stored_width_ratio" ratio;
+  if ratio <= micro_width_ratio then
+    Printf.printf "gate: stored.w50 batch costs %.2fx stored.w1 (limit %.1fx)\n" ratio
+      micro_width_ratio
+  else begin
+    micro_gate_failed := true;
+    Printf.printf "GATE FAIL: stored.w50 batch costs %.2fx stored.w1, above the %.1fx limit\n"
+      ratio micro_width_ratio
+  end;
   if not !micro_gate_failed then
     Printf.printf "gate: batch paths allocation-free, all per-op speedup floors hold\n"
 

@@ -798,14 +798,19 @@ let adaptive_tick t =
         | Some fb when st.observes_since_refresh >= rt.acfg.refresh_after_observes -> (
           match Hashtbl.find_opt t.index name with
           | None -> ()
-          | Some m ->
-            let summary =
+          | Some m -> (
+            match
               Selest.Stored.of_fn ~cells:m.cells ~domain:m.domain (fun ~a ~b ->
                   Feedback.Adaptive.selectivity fb ~a ~b)
-            in
-            install_summary t rt name m st (Selest.Stored.Range summary)
-              ~reset_staleness:false;
-            incr swaps)
+            with
+            | summary ->
+              install_summary t rt name m st (Selest.Stored.Range summary)
+                ~reset_staleness:false;
+              incr swaps
+            | exception Invalid_argument _ ->
+              (* A non-finite cell: keep serving the installed summary and
+                 wait for the next batch of observations before retrying. *)
+              st.observes_since_refresh <- 0))
         | _ -> ())
       rt.states;
     (* 3. Launch at most one background resample rebuild for the first

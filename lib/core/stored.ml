@@ -1,8 +1,23 @@
 type t = {
   lo : float;
   hi : float;
+  w : float; (* cell width *)
   weights : float array; (* per-cell selectivity mass *)
+  cdf : float array;
+      (* cdf.(i) = weights.(0) + ... + weights.(i-1), length cells + 1;
+         derived by [make], never persisted *)
 }
+
+(* The one constructor [of_fn] and [of_string] both go through: the
+   prefix-sum table is built here, so a loaded snapshot and a fresh build
+   carry the same table. *)
+let make ~lo ~hi weights =
+  let k = Array.length weights in
+  let cdf = Array.make (k + 1) 0.0 in
+  for i = 0 to k - 1 do
+    cdf.(i + 1) <- cdf.(i) +. weights.(i)
+  done;
+  { lo; hi; w = (hi -. lo) /. float_of_int k; weights; cdf }
 
 (* [who] keeps validation messages named after the entry point the
    caller actually used. *)
@@ -13,9 +28,12 @@ let of_fn_named who ?(cells = 256) ~domain:(lo, hi) f =
   let weights =
     Array.init cells (fun i ->
         let a = lo +. (float_of_int i *. w) in
-        Float.max 0.0 (f ~a ~b:(a +. w)))
+        let v = f ~a ~b:(a +. w) in
+        if not (Float.is_finite v) then
+          invalid_arg (Printf.sprintf "%s: cell %d value %g is not finite" who i v);
+        Float.max 0.0 v)
   in
-  { lo; hi; weights }
+  make ~lo ~hi weights
 
 let of_fn ?cells ~domain f = of_fn_named "Stored.of_fn" ?cells ~domain f
 
@@ -29,61 +47,50 @@ let of_sample ?cells ?(spec = Estimator.kernel_defaults) ~domain sample =
 let cells t = Array.length t.weights
 let domain t = (t.lo, t.hi)
 
-(* The index of the cell holding [v], clamped in float space to
-   [0, k-1], so an infinite or huge query bound lands in an edge cell
-   rather than in [int_of_float]'s unspecified result (NaN lands in cell
-   0; its overlaps are all false).  Bounds inside the domain index
-   exactly as an unclamped [int_of_float] would. *)
-let[@inline] cell_index ~lo ~w ~k v =
-  let c = Float.floor ((v -. lo) /. w) in
-  if c >= float_of_int (k - 1) then k - 1 else if c > 0.0 then int_of_float c else 0
-
-let selectivity t ~a ~b =
-  if a > b then 0.0
+(* F(v), the mass below [v] under the uniform-within-cell assumption:
+   the prefix sum of the cells below [v]'s cell plus the linearly
+   interpolated share of that cell, kept inside [cdf.(i), cdf.(i+1)] so
+   rounding can never make F decrease.  Infinite and out-of-domain bounds
+   take the first two branches; inside the domain the cell quotient is
+   finite and non-negative, so truncation is its floor (rounding can
+   still land it on [k]).  Every operand is finite, so the clamps are
+   plain compares. *)
+let[@inline] mass_below t v =
+  let k = Array.length t.weights in
+  if v <= t.lo then 0.0
+  else if v >= t.hi then Array.unsafe_get t.cdf k
   else begin
-    let k = Array.length t.weights in
-    let w = (t.hi -. t.lo) /. float_of_int k in
-    let first = cell_index ~lo:t.lo ~w ~k a in
-    let last = cell_index ~lo:t.lo ~w ~k b in
-    let acc = ref 0.0 in
-    for i = first to last do
-      let c_lo = t.lo +. (float_of_int i *. w) in
-      let c_hi = c_lo +. w in
-      let overlap = Float.min b c_hi -. Float.max a c_lo in
-      if overlap > 0.0 then acc := !acc +. (t.weights.(i) *. overlap /. w)
-    done;
-    Float.max 0.0 (Float.min 1.0 !acc)
+    let c = int_of_float ((v -. t.lo) /. t.w) in
+    let i = if c >= k then k - 1 else c in
+    let d = v -. (t.lo +. (float_of_int i *. t.w)) in
+    let f =
+      Array.unsafe_get t.cdf i
+      +. (Array.unsafe_get t.weights i *. (if d > 0.0 then d else 0.0) /. t.w)
+    in
+    let top = Array.unsafe_get t.cdf (i + 1) in
+    if f > top then top else f
   end
 
-(* Batch variant of [selectivity]: same per-cell arithmetic in the same
-   order, one query per output slot, nothing allocated ([@inline always]
-   on nothing needed — the whole loop is one function body). *)
+(* The one range evaluator: F(b) - F(a), clamped to [0, 1].  [not (a <=
+   b)] also catches NaN bounds.  Monotone F makes the difference exactly
+   monotone under range containment. *)
+let[@inline] range t a b =
+  if not (a <= b) then 0.0
+  else begin
+    let s = mass_below t b -. mass_below t a in
+    if s > 1.0 then 1.0 else if s > 0.0 then s else 0.0
+  end
+
+let selectivity t ~a ~b = range t a b
+
+(* Batch variant of [selectivity]: the same evaluator, one query per
+   output slot, nothing allocated. *)
 let selectivity_into t ~pos ~len ~a ~b ~out =
   if pos < 0 || len < 0 then invalid_arg "Stored.selectivity_into: negative range";
   if pos + len > Array.length a || pos + len > Array.length b || pos + len > Array.length out
   then invalid_arg "Stored.selectivity_into: query arrays shorter than pos + len";
-  let k = Array.length t.weights in
-  let w = (t.hi -. t.lo) /. float_of_int k in
-  let weights = t.weights in
-  let t_lo = t.lo in
   for qi = pos to pos + len - 1 do
-    let qa = Array.unsafe_get a qi and qb = Array.unsafe_get b qi in
-    let v =
-      if qa > qb then 0.0
-      else begin
-        let first = cell_index ~lo:t_lo ~w ~k qa in
-        let last = cell_index ~lo:t_lo ~w ~k qb in
-        let acc = ref 0.0 in
-        for i = first to last do
-          let c_lo = t_lo +. (float_of_int i *. w) in
-          let c_hi = c_lo +. w in
-          let overlap = Float.min qb c_hi -. Float.max qa c_lo in
-          if overlap > 0.0 then acc := !acc +. (Array.unsafe_get weights i *. overlap /. w)
-        done;
-        Float.max 0.0 (Float.min 1.0 !acc)
-      end
-    in
-    Array.unsafe_set out qi v
+    Array.unsafe_set out qi (range t (Array.unsafe_get a qi) (Array.unsafe_get b qi))
   done
 
 let to_string t =
@@ -137,7 +144,7 @@ let of_string s =
                (Array.length weights))
         else if Array.exists (fun v -> v < 0.0 || not (Float.is_finite v)) weights then
           Error "Stored.of_string: weights must be non-negative and finite"
-        else Ok { lo; hi; weights }
+        else Ok (make ~lo ~hi weights)
       end))
   | _ -> Error "Stored.of_string: missing header"
 
@@ -236,8 +243,11 @@ let rect_of_fn ~domain_x:(x_lo, x_hi) ~domain_y:(y_lo, y_hi) ~bins_x ~bins_y f =
         let i = k mod bins_x and j = k / bins_x in
         let cx_lo = x_lo +. (float_of_int i *. wx) in
         let cy_lo = y_lo +. (float_of_int j *. wy) in
-        Float.max 0.0
-          (f ~x_lo:cx_lo ~x_hi:(cx_lo +. wx) ~y_lo:cy_lo ~y_hi:(cy_lo +. wy)))
+        let v = f ~x_lo:cx_lo ~x_hi:(cx_lo +. wx) ~y_lo:cy_lo ~y_hi:(cy_lo +. wy) in
+        if not (Float.is_finite v) then
+          invalid_arg
+            (Printf.sprintf "Stored.rect_of_fn: cell (%d, %d) value %g is not finite" i j v);
+        Float.max 0.0 v)
   in
   {
     rx_lo = x_lo;
@@ -404,6 +414,8 @@ type join = {
   j_mass_s : float array;
   j_sample_r : float array; (* retained build samples (sorted), for rebuilds *)
   j_sample_s : float array;
+  j_eq : float; (* the bound-free answers, swept once in [join_make] *)
+  j_lt : float;
 }
 
 (* Equi-depth bucketing of a sorted sample: bucket boundaries at the
@@ -430,41 +442,6 @@ let edh_of_sorted ~domain:(lo, hi) ~buckets sorted =
   masses := (float_of_int (n - !prev_pos) /. float_of_int n) :: !masses;
   (Array.of_list (List.rev !bounds), Array.of_list (List.rev !masses))
 
-let join_of_samples ~domain:(lo, hi) ~buckets ~n_r ~n_s sample_r sample_s =
-  if lo >= hi then invalid_arg "Stored.join_of_samples: empty domain";
-  if buckets <= 0 then invalid_arg "Stored.join_of_samples: buckets must be positive";
-  if n_r <= 0 || n_s <= 0 then
-    invalid_arg "Stored.join_of_samples: relation sizes must be positive";
-  if Array.length sample_r = 0 || Array.length sample_s = 0 then
-    invalid_arg "Stored.join_of_samples: empty sample";
-  let prep sample =
-    if Array.exists (fun v -> not (Float.is_finite v)) sample then
-      invalid_arg "Stored.join_of_samples: sample values must be finite";
-    let s = Array.map (fun v -> Float.max lo (Float.min hi v)) sample in
-    Array.sort Float.compare s;
-    s
-  in
-  let sr = prep sample_r and ss = prep sample_s in
-  let bounds_r, mass_r = edh_of_sorted ~domain:(lo, hi) ~buckets sr in
-  let bounds_s, mass_s = edh_of_sorted ~domain:(lo, hi) ~buckets ss in
-  {
-    j_lo = lo;
-    j_hi = hi;
-    j_n_r = n_r;
-    j_n_s = n_s;
-    j_bounds_r = bounds_r;
-    j_mass_r = mass_r;
-    j_bounds_s = bounds_s;
-    j_mass_s = mass_s;
-    j_sample_r = sr;
-    j_sample_s = ss;
-  }
-
-let join_domain j = (j.j_lo, j.j_hi)
-let join_sizes j = (j.j_n_r, j.j_n_s)
-let join_buckets j = (Array.length j.j_mass_r, Array.length j.j_mass_s)
-let join_samples j = (j.j_sample_r, j.j_sample_s)
-
 (* P(x < y) for x ~ U(a1, b1), y ~ U(a2, b2): integrate the uniform CDF of
    x over y's bucket.  With c1/c2 the clamp of [a1, b1] into [a2, b2],
    the integral splits into the ramp part and the saturated tail. *)
@@ -482,44 +459,84 @@ let prob_lt ~a1 ~b1 ~a2 ~b2 =
 (* N_R N_S int f_R f_S: the density-product equi-join formula on the
    bucket pair grid (each integer value occupying a unit cell, as in
    Equijoin.from_densities). *)
-let join_eq_size j =
-  let kr = Array.length j.j_mass_r and ks = Array.length j.j_mass_s in
+let join_eq_size ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s =
+  let kr = Array.length mass_r and ks = Array.length mass_s in
   let acc = ref 0.0 in
   for i = 0 to kr - 1 do
-    let a1 = j.j_bounds_r.(i) and b1 = j.j_bounds_r.(i + 1) in
-    let dr = j.j_mass_r.(i) /. (b1 -. a1) in
+    let a1 = bounds_r.(i) and b1 = bounds_r.(i + 1) in
+    let dr = mass_r.(i) /. (b1 -. a1) in
     if dr > 0.0 then
       for k = 0 to ks - 1 do
-        let a2 = j.j_bounds_s.(k) and b2 = j.j_bounds_s.(k + 1) in
+        let a2 = bounds_s.(k) and b2 = bounds_s.(k + 1) in
         let overlap = Float.min b1 b2 -. Float.max a1 a2 in
         if overlap > 0.0 then
-          acc := !acc +. (dr *. (j.j_mass_s.(k) /. (b2 -. a2)) *. overlap)
+          acc := !acc +. (dr *. (mass_s.(k) /. (b2 -. a2)) *. overlap)
       done
   done;
-  float_of_int j.j_n_r *. float_of_int j.j_n_s *. !acc
+  float_of_int n_r *. float_of_int n_s *. !acc
 
 (* The histogram-pair sweep for R.A < S.B: sum over bucket pairs of the
    mass product times the uniform-within-bucket P(x < y). *)
-let join_lt_size j =
-  let kr = Array.length j.j_mass_r and ks = Array.length j.j_mass_s in
+let join_lt_size ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s =
+  let kr = Array.length mass_r and ks = Array.length mass_s in
   let acc = ref 0.0 in
   for i = 0 to kr - 1 do
-    let a1 = j.j_bounds_r.(i) and b1 = j.j_bounds_r.(i + 1) in
-    let mr = j.j_mass_r.(i) in
+    let a1 = bounds_r.(i) and b1 = bounds_r.(i + 1) in
+    let mr = mass_r.(i) in
     if mr > 0.0 then
       for k = 0 to ks - 1 do
-        let a2 = j.j_bounds_s.(k) and b2 = j.j_bounds_s.(k + 1) in
-        let ms = j.j_mass_s.(k) in
+        let a2 = bounds_s.(k) and b2 = bounds_s.(k + 1) in
+        let ms = mass_s.(k) in
         if ms > 0.0 then acc := !acc +. (mr *. ms *. prob_lt ~a1 ~b1 ~a2 ~b2)
       done
   done;
-  float_of_int j.j_n_r *. float_of_int j.j_n_s *. !acc
+  float_of_int n_r *. float_of_int n_s *. !acc
+
+(* The one join constructor [join_of_samples] and [join_of_string] both
+   go through: [eq] and [lt] take no query bounds, so both sweeps run
+   once here and [join_estimate] only reads their results. *)
+let join_make ~lo ~hi ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s ~sample_r ~sample_s =
+  {
+    j_lo = lo;
+    j_hi = hi;
+    j_n_r = n_r;
+    j_n_s = n_s;
+    j_bounds_r = bounds_r;
+    j_mass_r = mass_r;
+    j_bounds_s = bounds_s;
+    j_mass_s = mass_s;
+    j_sample_r = sample_r;
+    j_sample_s = sample_s;
+    j_eq = join_eq_size ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s;
+    j_lt = join_lt_size ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s;
+  }
+
+let join_of_samples ~domain:(lo, hi) ~buckets ~n_r ~n_s sample_r sample_s =
+  if lo >= hi then invalid_arg "Stored.join_of_samples: empty domain";
+  if buckets <= 0 then invalid_arg "Stored.join_of_samples: buckets must be positive";
+  if n_r <= 0 || n_s <= 0 then
+    invalid_arg "Stored.join_of_samples: relation sizes must be positive";
+  if Array.length sample_r = 0 || Array.length sample_s = 0 then
+    invalid_arg "Stored.join_of_samples: empty sample";
+  let prep sample =
+    if Array.exists (fun v -> not (Float.is_finite v)) sample then
+      invalid_arg "Stored.join_of_samples: sample values must be finite";
+    let s = Array.map (fun v -> Float.max lo (Float.min hi v)) sample in
+    Array.sort Float.compare s;
+    s
+  in
+  let sr = prep sample_r and ss = prep sample_s in
+  let bounds_r, mass_r = edh_of_sorted ~domain:(lo, hi) ~buckets sr in
+  let bounds_s, mass_s = edh_of_sorted ~domain:(lo, hi) ~buckets ss in
+  join_make ~lo ~hi ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s ~sample_r:sr ~sample_s:ss
+
+let join_domain j = (j.j_lo, j.j_hi)
+let join_sizes j = (j.j_n_r, j.j_n_s)
+let join_buckets j = (Array.length j.j_mass_r, Array.length j.j_mass_s)
+let join_samples j = (j.j_sample_r, j.j_sample_s)
 
 let join_estimate j ~pred =
-  match pred with
-  | Join_eq -> join_eq_size j
-  | Join_lt -> join_lt_size j
-  | Join_le -> join_lt_size j +. join_eq_size j
+  match pred with Join_eq -> j.j_eq | Join_lt -> j.j_lt | Join_le -> j.j_lt +. j.j_eq
 
 let magic_join = "selest-stored-join v1"
 
@@ -618,18 +635,8 @@ let join_of_string s =
       then Error (who ^ ": malformed samples")
       else
         Ok
-          {
-            j_lo = lo;
-            j_hi = hi;
-            j_n_r = n_r;
-            j_n_s = n_s;
-            j_bounds_r = bounds_r;
-            j_mass_r = mass_r;
-            j_bounds_s = bounds_s;
-            j_mass_s = mass_s;
-            j_sample_r = sample_r;
-            j_sample_s = sample_s;
-          }
+          (join_make ~lo ~hi ~n_r ~n_s ~bounds_r ~mass_r ~bounds_s ~mass_s ~sample_r
+             ~sample_s)
     end)
   | _ -> Error (who ^ ": missing header")
 

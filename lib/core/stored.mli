@@ -11,14 +11,19 @@
     The cell masses are exact cell selectivities of the source estimator
     (probed via {!Estimator.selectivity}, not by sampling the density), so
     a stored kernel summary at [cells] resolution is exactly the kernel
-    estimator convolved onto that grid. *)
+    estimator convolved onto that grid.
+
+    Each summary also carries a prefix-sum table of its cell masses
+    ([cells + 1] floats, built on construction and on load, never
+    persisted), so a range answer costs O(1) whatever its width or the
+    cell count: [F(b) - F(a)] of the piecewise-linear cumulative mass. *)
 
 type t
 
 val of_estimator : ?cells:int -> domain:float * float -> Estimator.t -> t
 (** [of_estimator ~domain est] probes [cells] (default 256) equal-width
-    cells.  @raise Invalid_argument if [cells <= 0] or the domain is
-    empty. *)
+    cells.  @raise Invalid_argument if [cells <= 0], the domain is empty,
+    or a cell probe is NaN or infinite (the message names the cell). *)
 
 val of_fn :
   ?cells:int -> domain:float * float -> (a:float -> b:float -> float) -> t
@@ -26,7 +31,10 @@ val of_fn :
     selectivity function: cell [i] stores [max 0 (f ~a:cell_lo ~b:cell_hi)].
     The adaptive serving path uses this to bake an ST-histogram refinement
     ([Feedback.Adaptive.selectivity]) into a swappable summary.
-    @raise Invalid_argument if [cells <= 0] or the domain is empty. *)
+    @raise Invalid_argument if [cells <= 0], the domain is empty, or [f]
+    returns NaN or an infinity for some cell (the message names the
+    cell) — the same rule {!of_string} applies, so every summary built
+    here writes a snapshot that loads. *)
 
 val of_sample :
   ?cells:int -> ?spec:Estimator.spec -> domain:float * float -> float array -> t
@@ -40,16 +48,22 @@ val domain : t -> float * float
 (** Estimation domain the cells partition. *)
 
 val selectivity : t -> a:float -> b:float -> float
-(** Piecewise-constant range selectivity, clamped to [[0, 1]].  Query
-    bounds may be infinite or lie far outside the domain: they clamp to
-    the edge cells, so [selectivity t ~a:neg_infinity ~b:infinity] is the
-    whole mass. *)
+(** Range selectivity under the uniform-within-cell assumption (the
+    paper's formula (4)), clamped to [[0, 1]]: [F(b) - F(a)], where [F]
+    is the prefix sum of the cells below a bound plus the linearly
+    interpolated share of its own cell.  O(1) per query.  [F] is exactly
+    monotone in floating point, so a range never answers less than a
+    range it contains.  Query bounds may be infinite or lie far outside
+    the domain: [F] is 0 at or below the domain and the whole mass at or
+    above it, so [selectivity t ~a:neg_infinity ~b:infinity] is the whole
+    mass.  Inverted bounds ([a > b]) and NaN bounds answer 0. *)
 
 val selectivity_into :
   t -> pos:int -> len:int -> a:float array -> b:float array -> out:float array -> unit
 (** [selectivity_into t ~pos ~len ~a ~b ~out] writes {!selectivity} of
     [Q(a.(i), b.(i))] to [out.(i)] for [pos <= i < pos + len],
-    bit-identically to the scalar probe and without allocating — the
+    bit-identically to the scalar probe (both run one evaluator) and
+    without allocating — the
     serving engine evaluates each same-summary run of a request
     through this in place.  [len = 0] touches nothing.
     @raise Invalid_argument on a negative range or arrays shorter than
@@ -60,7 +74,8 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}; [Error] describes the first malformed field
-    (a non-finite domain bound included). *)
+    (a non-finite domain bound, or a negative or non-finite weight,
+    included).  The prefix-sum table is rebuilt from the weights. *)
 
 (** {1 Rectangle (2-D grid) summaries}
 
@@ -110,7 +125,8 @@ val rect_of_fn :
 (** Probe any 2-D selectivity function once per cell (the 2-D {!of_fn}):
     cell [(i, j)] stores [max 0 (f cell_rect)].  Use to reduce a
     product-kernel or independence estimator onto a servable grid.
-    @raise Invalid_argument on empty domains or non-positive bins. *)
+    @raise Invalid_argument on empty domains, non-positive bins, or a
+    NaN or infinite probe (the message names the cell [(i, j)]). *)
 
 val rect_bins : rect -> int * int
 (** Grid resolution [(bins_x, bins_y)]. *)
@@ -143,7 +159,9 @@ val rect_spec_of_string : string -> (int * int, string) result
     Per-relation equi-depth histograms plus the retained build samples,
     answering equi- and inequality-join size estimates.  The arithmetic
     (density product for [eq], histogram-pair sweep for [lt]/[le]) lives
-    here so [Join.Ineqjoin] and the serving stack share one code path. *)
+    here so [Join.Ineqjoin] and the serving stack share one code path.
+    A join answer takes no query bounds, so both O(k_R k_S) sweeps run
+    once when the summary is built or loaded, never per request. *)
 
 type join_pred = Join_eq | Join_lt | Join_le
 
@@ -186,7 +204,8 @@ val join_estimate : join -> pred:join_pred -> float
 (** Estimated size of [R.A pred S.B]: the density-product integral for
     [Join_eq] (each integer value occupying a unit cell), the
     histogram-pair sweep [sum_ij m_i m_j P(x < y)] for [Join_lt], and
-    their sum for [Join_le]. *)
+    their sum for [Join_le].  O(1): it reads the sweeps' results stored
+    at build or load. *)
 
 val join_to_string : join -> string
 (** Textual serialization (["selest-stored-join v1"] header). *)

@@ -457,6 +457,35 @@ let test_adaptive_drain_reaps_pending () =
   check (Alcotest.array Alcotest.int64) "drained swap persisted" after
     (bits (Service.answer svc2 adaptive_probes))
 
+(* A feedback refresh whose refined grid has a non-finite cell must not
+   swap: the installed summary keeps serving, and its snapshot stays
+   loadable.  Observing [0, 5e-324] on a [-1, 3] grid of 4 cells puts an
+   infinite weight into feedback bucket 1 (the error divided by a
+   subnormal overlap), and probing cell 0 then multiplies that weight by
+   a zero overlap: NaN. *)
+let test_adaptive_refresh_rejects_nonfinite () =
+  let dir = fresh_dir () in
+  let svc, _ =
+    Service.open_dir ~config:{ Service.default_config with Service.cells = 4 } dir
+  in
+  ignore
+    (or_fail
+       (Service.build svc ~name:"r" ~spec:"ewh:4" ~domain:(-1.0, 3.0)
+          ~sample:[| -0.5; 0.5; 1.5; 2.5; 2.6 |]));
+  Service.enable_adaptive
+    ~config:{ Service.default_adaptive_config with Service.refresh_after_observes = 1 }
+    svc;
+  let probes = [| ("r", -1.0, 0.0); ("r", -0.5, 2.5); ("r", 0.0, 3.0) |] in
+  let before = bits (Service.answer svc probes) in
+  ignore (or_fail (Service.observe svc ~name:"r" ~a:0.0 ~b:(Float.succ 0.0) ~actual:1.0));
+  check Alcotest.int "refresh refused, no swap" 0 (Service.adaptive_tick svc);
+  check (Alcotest.array Alcotest.int64) "installed summary still served" before
+    (bits (Service.answer svc probes));
+  let svc2, skipped = Service.open_dir dir in
+  check Alcotest.int "snapshot still loads" 0 (List.length skipped);
+  check (Alcotest.array Alcotest.int64) "reopen serves the same bits" before
+    (bits (Service.answer svc2 probes))
+
 let test_build_errors () =
   let dir = fresh_dir () in
   let svc, _ = Service.open_dir dir in
@@ -554,6 +583,8 @@ let () =
             test_adaptive_kill_during_rebuild_recovers;
           Alcotest.test_case "drain reaps the in-flight rebuild" `Quick
             test_adaptive_drain_reaps_pending;
+          Alcotest.test_case "refresh keeps the summary on a non-finite cell" `Quick
+            test_adaptive_refresh_rejects_nonfinite;
         ] );
       ( "layout",
         [

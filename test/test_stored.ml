@@ -271,6 +271,290 @@ let test_unbounded_bounds () =
       checkf (label ^ " batch") want out.(i))
     cases
 
+(* ---------------- the range evaluator ---------------- *)
+
+(* The per-cell walk the served range evaluator used before the
+   prefix-sum table, kept as the test oracle: every overlapped cell
+   contributes its weight times the overlapped fraction of its width. *)
+let walk_oracle ~lo ~hi weights a b =
+  if a > b then 0.0
+  else begin
+    let k = Array.length weights in
+    let w = (hi -. lo) /. float_of_int k in
+    let cell_index v =
+      let c = Float.floor ((v -. lo) /. w) in
+      if c >= float_of_int (k - 1) then k - 1 else if c > 0.0 then int_of_float c else 0
+    in
+    let acc = ref 0.0 in
+    for i = cell_index a to cell_index b do
+      let c_lo = lo +. (float_of_int i *. w) in
+      let c_hi = c_lo +. w in
+      let overlap = Float.min b c_hi -. Float.max a c_lo in
+      if overlap > 0.0 then acc := !acc +. (weights.(i) *. overlap /. w)
+    done;
+    Float.max 0.0 (Float.min 1.0 !acc)
+  end
+
+(* Summaries at every resolution the serving stack uses and a few odd
+   ones, with total mass near 1 as built summaries carry (some cells
+   empty), and query bounds inside the domain, on and one ulp off cell
+   edges, outside it, infinite, huge and NaN.  [slice] picks a
+   [pos]/[len] window of the flattened query pairs for the batch entry
+   point. *)
+let gen_eval_case =
+  QCheck.Gen.(
+    let* cells = oneofl [ 1; 2; 7; 256; 4096 ] in
+    let* lo = float_range (-1000.0) 1000.0 in
+    let* width = float_range 0.5 2000.0 in
+    let* raw =
+      array_size (return cells)
+        (frequency [ (1, return 0.0); (4, float_bound_inclusive 1.0) ])
+    in
+    let* mass = float_range 0.9 1.1 in
+    let total = Array.fold_left ( +. ) 0.0 raw in
+    let weights = Array.map (fun v -> if total > 0.0 then v *. mass /. total else v) raw in
+    let hi = lo +. width in
+    let w = width /. float_of_int cells in
+    let bound =
+      frequency
+        [
+          (4, map (fun f -> lo +. (f *. width)) (float_range (-0.3) 1.3));
+          (2, map (fun j -> lo +. (float_of_int j *. w)) (int_range 0 cells));
+          (* one ulp either side of an edge: where the cell index rounds *)
+          ( 2,
+            map
+              (fun (j, step) -> step (lo +. (float_of_int j *. w)))
+              (pair (int_range 0 cells) (oneofl [ Float.pred; Float.succ ])) );
+          ( 1,
+            oneofl
+              [ lo; hi; Float.neg_infinity; Float.infinity; -1e300; 1e300; Float.nan ] );
+        ]
+    in
+    let* bounds = list_size (int_range 2 16) bound in
+    let* slice = pair (float_bound_inclusive 1.0) (float_bound_inclusive 1.0) in
+    return (lo, hi, weights, Array.of_list bounds, slice))
+
+let arb_eval_case =
+  QCheck.make
+    ~print:(fun (lo, hi, weights, bounds, _) ->
+      Printf.sprintf "domain [%h, %h], %d cells, bounds [%s]" lo hi (Array.length weights)
+        (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") bounds))))
+    gen_eval_case
+
+(* Within 1e-12, plus the rounding of the cell edges both evaluators
+   compute as [lo + i w]: an edge is off by up to one ulp of the domain's
+   magnitude, so each overlapped fraction is off by up to ulp / w (on a
+   4096-cell grid over [942, 1118] that alone reaches 1.2e-12). *)
+let prop_eval_matches_walk =
+  QCheck.Test.make ~count:200 ~name:"evaluator agrees with the per-cell walk" arb_eval_case
+    (fun (lo, hi, weights, bounds, _) ->
+      let t = stored_of_weights ~lo ~hi (Array.to_list weights) in
+      let w = (hi -. lo) /. float_of_int (Array.length weights) in
+      let m = Float.max (Float.abs lo) (Float.abs hi) in
+      let tol = 1e-12 +. (4.0 *. (Float.succ m -. m) /. w) in
+      Array.for_all
+        (fun a ->
+          Array.for_all
+            (fun b ->
+              let s = Stored.selectivity t ~a ~b in
+              let o = walk_oracle ~lo ~hi weights a b in
+              if Float.abs (s -. o) <= tol then true
+              else QCheck.Test.fail_reportf "sel(%h, %h) = %h, walk %h" a b s o)
+            bounds)
+        bounds)
+
+let prop_eval_nan_inverted_zero =
+  QCheck.Test.make ~count:200 ~name:"NaN and inverted bounds answer exactly 0" arb_eval_case
+    (fun (lo, hi, weights, bounds, _) ->
+      let t = stored_of_weights ~lo ~hi (Array.to_list weights) in
+      Array.for_all
+        (fun a ->
+          Array.for_all
+            (fun b ->
+              (not (Float.is_nan a || Float.is_nan b || a > b))
+              || Float.equal (Stored.selectivity t ~a ~b) 0.0)
+            bounds)
+        bounds)
+
+(* [a', b'] inside [a, b] never answers more, exactly: no tolerance. *)
+let prop_eval_monotone =
+  QCheck.Test.make ~count:1000 ~name:"exactly monotone under range containment" arb_eval_case
+    (fun (lo, hi, weights, bounds, _) ->
+      let t = stored_of_weights ~lo ~hi (Array.to_list weights) in
+      let xs =
+        Array.of_list (List.filter (fun v -> not (Float.is_nan v)) (Array.to_list bounds))
+      in
+      Array.sort Float.compare xs;
+      let n = Array.length xs in
+      let sel =
+        Array.init n (fun i ->
+            Array.init n (fun j -> Stored.selectivity t ~a:xs.(i) ~b:xs.(j)))
+      in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = i to n - 1 do
+          (* [xs.(i), xs.(j)] against every range containing it *)
+          for p = 0 to i do
+            for q = j to n - 1 do
+              if sel.(i).(j) > sel.(p).(q) then ok := false
+            done
+          done
+        done
+      done;
+      !ok)
+
+let prop_eval_batch_slices =
+  QCheck.Test.make ~count:200 ~name:"selectivity_into slices equal scalar answers"
+    arb_eval_case (fun (lo, hi, weights, bounds, (fp, fl)) ->
+      let t = stored_of_weights ~lo ~hi (Array.to_list weights) in
+      let m = Array.length bounds in
+      let n = m * m in
+      let a = Array.init n (fun i -> bounds.(i / m)) in
+      let b = Array.init n (fun i -> bounds.(i mod m)) in
+      let pos = int_of_float (fp *. float_of_int n) in
+      let len = int_of_float (fl *. float_of_int (n - pos)) in
+      let sentinel = -1.0 in
+      let out = Array.make n sentinel in
+      Stored.selectivity_into t ~pos ~len ~a ~b ~out;
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        let want =
+          if i >= pos && i < pos + len then Stored.selectivity t ~a:a.(i) ~b:b.(i) else sentinel
+        in
+        if not (Float.equal out.(i) want) then ok := false
+      done;
+      !ok)
+
+(* Cell probes that are NaN or infinite are refused at build time, with
+   the cell named, instead of producing a summary whose own snapshot
+   would not load. *)
+let test_nonfinite_cells () =
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let expect_invalid label ~cell build =
+    match build () with
+    | () -> Alcotest.failf "%s: non-finite cell accepted" label
+    | exception Invalid_argument msg ->
+      if not (contains msg cell) then Alcotest.failf "%s: %S does not name %s" label msg cell
+  in
+  List.iter
+    (fun bad ->
+      let label = Printf.sprintf "of_fn %g" bad in
+      expect_invalid label ~cell:"cell 1" (fun () ->
+          ignore
+            (Stored.of_fn ~cells:4 ~domain:(0.0, 4.0) (fun ~a ~b:_ ->
+                 if a = 1.0 then bad else 0.25)));
+      let label = Printf.sprintf "rect_of_fn %g" bad in
+      expect_invalid label ~cell:"cell (1, 0)" (fun () ->
+          ignore
+            (Stored.rect_of_fn ~domain_x:(0.0, 2.0) ~domain_y:(0.0, 2.0) ~bins_x:2 ~bins_y:2
+               (fun ~x_lo ~x_hi:_ ~y_lo ~y_hi:_ ->
+                 if x_lo = 1.0 && y_lo = 0.0 then bad else 0.25))))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  (* Finite probes still build, negative ones clamped to 0 as before. *)
+  let t =
+    Stored.of_fn ~cells:2 ~domain:(0.0, 2.0) (fun ~a ~b:_ -> if a = 0.0 then -0.5 else 0.5)
+  in
+  checkf "negative probe clamps to 0" 0.0 (Stored.selectivity t ~a:0.0 ~b:1.0);
+  checkf "finite probe kept" 0.5 (Stored.selectivity t ~a:0.0 ~b:2.0)
+
+(* ---------------- join answers computed at build ---------------- *)
+
+(* The bucket-pair sweeps join answers used to re-run per request, kept
+   as the test oracle over the histograms read back from the summary's
+   text form (which prints every value exactly). *)
+let join_histograms j =
+  let lines = Array.of_list (String.split_on_char '\n' (Stored.join_to_string j)) in
+  let section name =
+    let rec find i =
+      match String.split_on_char ' ' lines.(i) with
+      | [ n; c ] when n = name ->
+        Array.init (int_of_string c) (fun k -> float_of_string lines.(i + 1 + k))
+      | _ -> find (i + 1)
+    in
+    find 0
+  in
+  (section "bounds_r", section "mass_r", section "bounds_s", section "mass_s")
+
+let prob_lt ~a1 ~b1 ~a2 ~b2 =
+  if b1 <= a2 then 1.0
+  else if b2 <= a1 then 0.0
+  else begin
+    let clamp v = Float.max a2 (Float.min b2 v) in
+    let c1 = clamp a1 and c2 = clamp b1 in
+    let ramp =
+      (((c2 -. a1) *. (c2 -. a1)) -. ((c1 -. a1) *. (c1 -. a1))) /. (2.0 *. (b1 -. a1))
+    in
+    (ramp +. (b2 -. c2)) /. (b2 -. a2)
+  end
+
+let join_sweep j ~pred =
+  let bounds_r, mass_r, bounds_s, mass_s = join_histograms j in
+  let n_r, n_s = Stored.join_sizes j in
+  let kr = Array.length mass_r and ks = Array.length mass_s in
+  let eq () =
+    let acc = ref 0.0 in
+    for i = 0 to kr - 1 do
+      let a1 = bounds_r.(i) and b1 = bounds_r.(i + 1) in
+      let dr = mass_r.(i) /. (b1 -. a1) in
+      if dr > 0.0 then
+        for k = 0 to ks - 1 do
+          let a2 = bounds_s.(k) and b2 = bounds_s.(k + 1) in
+          let overlap = Float.min b1 b2 -. Float.max a1 a2 in
+          if overlap > 0.0 then acc := !acc +. (dr *. (mass_s.(k) /. (b2 -. a2)) *. overlap)
+        done
+    done;
+    float_of_int n_r *. float_of_int n_s *. !acc
+  in
+  let lt () =
+    let acc = ref 0.0 in
+    for i = 0 to kr - 1 do
+      let a1 = bounds_r.(i) and b1 = bounds_r.(i + 1) in
+      let mr = mass_r.(i) in
+      if mr > 0.0 then
+        for k = 0 to ks - 1 do
+          let a2 = bounds_s.(k) and b2 = bounds_s.(k + 1) in
+          let ms = mass_s.(k) in
+          if ms > 0.0 then acc := !acc +. (mr *. ms *. prob_lt ~a1 ~b1 ~a2 ~b2)
+        done
+    done;
+    float_of_int n_r *. float_of_int n_s *. !acc
+  in
+  match pred with
+  | Stored.Join_eq -> eq ()
+  | Stored.Join_lt -> lt ()
+  | Stored.Join_le -> lt () +. eq ()
+
+let prop_join_answers_stored =
+  let arb =
+    QCheck.make
+      QCheck.Gen.(
+        let* nr = int_range 1 300 in
+        let* ns = int_range 1 300 in
+        let* sample_r = array_size (return nr) (float_bound_inclusive 512.0) in
+        let* sample_s = array_size (return ns) (float_bound_inclusive 512.0) in
+        let* buckets = int_range 1 64 in
+        return (sample_r, sample_s, buckets))
+  in
+  QCheck.Test.make ~count:120 ~name:"stored join answers equal a fresh sweep" arb
+    (fun (sample_r, sample_s, buckets) ->
+      let j =
+        Stored.join_of_samples ~domain:(-0.5, 512.5) ~buckets ~n_r:10_000 ~n_s:8_000 sample_r
+          sample_s
+      in
+      match Stored.join_of_string (Stored.join_to_string j) with
+      | Error msg -> QCheck.Test.fail_reportf "join round trip rejected: %s" msg
+      | Ok j' ->
+        List.for_all
+          (fun j ->
+            List.for_all
+              (fun pred -> Float.equal (Stored.join_estimate j ~pred) (join_sweep j ~pred))
+              [ Stored.Join_eq; Stored.Join_lt; Stored.Join_le ])
+          [ j; j' ])
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -287,4 +571,15 @@ let () =
         ] );
       ( "bounds",
         [ Alcotest.test_case "unbounded and huge query bounds" `Quick test_unbounded_bounds ] );
+      ( "evaluator",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_eval_matches_walk;
+            prop_eval_nan_inverted_zero;
+            prop_eval_monotone;
+            prop_eval_batch_slices;
+          ] );
+      ( "build",
+        Alcotest.test_case "non-finite cells refused" `Quick test_nonfinite_cells
+        :: List.map QCheck_alcotest.to_alcotest [ prop_join_answers_stored ] );
     ]
