@@ -703,13 +703,7 @@ let catalog_query_cmd =
     Arg.(value & opt (some string) None & info [ "batch" ] ~docv:"FILE"
          ~doc:"Batch file: one \"name a b\" request per line ('#' comments allowed).")
   in
-  let jobs_arg =
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Evaluate the batch on $(docv) parallel domains; answers are bit-identical \
-               for every value.")
-  in
-  let run dir name a b batch jobs =
-    if jobs < 1 then or_die (Error "catalog query: --jobs must be >= 1");
+  let run dir name a b batch =
     let svc = open_catalog dir in
     let requests =
       match (batch, name, a, b) with
@@ -735,7 +729,7 @@ let catalog_query_cmd =
           (Error "catalog query: pass either --batch FILE or --name with -a and -b")
     in
     let answers =
-      try Cat.answer ~jobs svc requests with Invalid_argument msg -> or_die (Error msg)
+      try Cat.answer svc requests with Invalid_argument msg -> or_die (Error msg)
     in
     Array.iteri
       (fun i (name, a, b) ->
@@ -749,7 +743,7 @@ let catalog_query_cmd =
   in
   let doc = "Answer range queries from the catalog (no data access at query time)." in
   Cmd.v (Cmd.info "query" ~doc)
-    Term.(const run $ catalog_dir_arg $ name_arg $ a_arg $ b_arg $ batch_arg $ jobs_arg)
+    Term.(const run $ catalog_dir_arg $ name_arg $ a_arg $ b_arg $ batch_arg)
 
 let catalog_invalidate_cmd =
   let names_arg =

@@ -1,8 +1,8 @@
 (* Catalog server: the ANALYZE -> snapshot -> serve lifecycle end to end.
 
    Builds summaries for two attributes into a snapshot directory, kills
-   the first service, reopens the directory cold (as a restarted server
-   would), and answers a mixed batch of range queries without ever
+   the first service, reopens the directory from its snapshots alone (as
+   a restarted server would), and answers a mixed batch of range queries without ever
    touching the relations again — the optimizer-side serving story of
    docs/CATALOG.md.
 
@@ -39,8 +39,7 @@ let () =
   (* --- Restart: reopen the directory; only the snapshots survive --- *)
   let svc, skipped = Cat.open_dir dir in
   assert (skipped = []);
-  Printf.printf "\nreopened %s with %d entries, cache cold\n\n" dir
-    (List.length (Cat.names svc));
+  Printf.printf "\nreopened %s with %d entries\n\n" dir (List.length (Cat.names svc));
 
   (* --- Serve: one batch, grouped per entry, no data access --- *)
   let batch =
@@ -51,7 +50,7 @@ let () =
       ("arap1/hybrid", 1_500_000.0, 1_600_000.0);
     |]
   in
-  let answers = Cat.answer ~jobs:2 svc batch in
+  let answers = Cat.answer svc batch in
   Array.iteri
     (fun i (name, a, b) ->
       Printf.printf "%-14s [%9.0f, %9.0f] -> selectivity %.6f\n" name a b answers.(i))

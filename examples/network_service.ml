@@ -87,7 +87,7 @@ let () =
   Printf.printf "\n%s\n" (Server.Loadgen.report_to_string report);
 
   (* The engine owns [svc], so verify against a second service opened
-     cold on the same snapshot directory — exactly what --verify does. *)
+     afresh on the same snapshot directory — exactly what --verify does. *)
   let direct, _ = Cat.open_dir dir in
   let checked, mismatched = Server.Loadgen.verify direct requests report in
   Printf.printf "verify: %d/%d served answers bit-identical to direct Cat.answer\n"

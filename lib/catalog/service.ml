@@ -135,6 +135,21 @@ let flatten_legacy_layout dir =
          (try if Sys.readdir sub_dir = [||] then Sys.rmdir sub_dir with Sys_error _ -> ());
          skipped)
 
+let meta_of summary ~spec ~provenance ~inserts ~stale =
+  {
+    kind = Selest.Stored.any_kind summary;
+    spec;
+    provenance;
+    cells = Selest.Stored.any_cells summary;
+    domain = Selest.Stored.any_domain summary;
+    domain_y =
+      (match summary with
+      | Selest.Stored.Rect r -> Some (snd (Selest.Stored.rect_domains r))
+      | _ -> None);
+    inserts;
+    stale;
+  }
+
 let open_dir ?(config = default_config) dir =
   if config.capacity < 1 then invalid_arg "Catalog.Service.open_dir: capacity must be >= 1";
   if config.rebuild_after_inserts < 1 then
@@ -191,19 +206,12 @@ let open_dir ?(config = default_config) dir =
   List.iter
     (fun (e : Snapshot.entry) ->
       Hashtbl.replace t.index e.name
-        {
-          kind = Selest.Stored.any_kind e.summary;
-          spec = e.spec;
-          provenance = e.provenance;
-          cells = Selest.Stored.any_cells e.summary;
-          domain = Selest.Stored.any_domain e.summary;
-          domain_y =
-            (match e.summary with
-            | Selest.Stored.Rect r -> Some (snd (Selest.Stored.rect_domains r))
-            | _ -> None);
-          inserts = e.inserts;
-          stale = e.stale;
-        })
+        (meta_of e.summary ~spec:e.spec ~provenance:e.provenance ~inserts:e.inserts
+           ~stale:e.stale);
+      (* Keep what was just parsed, up to capacity, so the first queries
+         do not parse the same files again.  Stopping at capacity means
+         the warm-up counts no eviction. *)
+      if Lru.length t.cache < config.capacity then Lru.add t.cache e.name e.summary)
     entries;
   Telemetry.Metrics.add t.m_snapshot_load_errors (List.length skipped);
   Telemetry.Metrics.set t.m_entries (float_of_int (Hashtbl.length t.index));
@@ -238,20 +246,28 @@ let info t name = Option.map (info_of t name) (Hashtbl.find_opt t.index name)
 let infos t =
   List.filter_map (fun name -> info t name) (names t)
 
-(* Rewrite the entry's snapshot from current metadata.  The summary is
-   read without touching recency or hit/miss accounting; if it was
-   evicted, it is reloaded from the existing snapshot first. *)
+(* The entry's summary: the resident copy, or else a parse of its
+   snapshot file.  With [~resolve:true] (the query path) the lookup
+   promotes and counts a hit or a miss, and the parsed summary is cached;
+   with [~resolve:false] it only peeks, leaving recency, hit rate and
+   residency as they were.  A resolving hit allocates nothing.
+   @raise Invalid_argument if the snapshot is unreadable. *)
+let summary_exn t name ~resolve =
+  match
+    if resolve then Lru.find_exn t.cache name
+    else match Lru.peek t.cache name with Some s -> s | None -> raise Not_found
+  with
+  | summary -> summary
+  | exception Not_found -> (
+    match Snapshot.load ~path:(Snapshot.path ~dir:t.dir name) with
+    | Ok e ->
+      if resolve then Lru.add t.cache name e.Snapshot.summary;
+      e.Snapshot.summary
+    | Error msg ->
+      invalid_arg (Printf.sprintf "Catalog.Service: snapshot of %S unreadable: %s" name msg))
+
+(* Rewrite the entry's snapshot from current metadata. *)
 let persist t name (m : meta) =
-  let summary =
-    match Lru.peek t.cache name with
-    | Some s -> s
-    | None -> (
-      match Snapshot.load ~path:(Snapshot.path ~dir:t.dir name) with
-      | Ok e -> e.Snapshot.summary
-      | Error msg ->
-        raise
-          (Sys_error (Printf.sprintf "catalog: snapshot of %S unreadable: %s" name msg)))
-  in
   Snapshot.save ~dir:t.dir
     {
       Snapshot.name;
@@ -259,88 +275,72 @@ let persist t name (m : meta) =
       inserts = m.inserts;
       stale = m.stale;
       provenance = m.provenance;
-      summary;
+      summary = summary_exn t name ~resolve:false;
     };
   Telemetry.Metrics.incr t.m_snapshot_writes
 
-(* Shared tail of every build path: index, cache and snapshot move
-   together, so a successful build is immediately servable and survives a
-   restart. *)
-let install_built t ~name ~spec ~provenance summary =
-  let existed = Hashtbl.mem t.index name in
-  let m =
-    {
-      kind = Selest.Stored.any_kind summary;
-      spec;
-      provenance;
-      cells = Selest.Stored.any_cells summary;
-      domain = Selest.Stored.any_domain summary;
-      domain_y =
-        (match summary with
-        | Selest.Stored.Rect r -> Some (snd (Selest.Stored.rect_domains r))
-        | _ -> None);
-      inserts = 0;
-      stale = false;
-    }
-  in
-  Hashtbl.replace t.index name m;
-  Lru.add t.cache name summary;
-  Snapshot.save ~dir:t.dir
-    { Snapshot.name; spec; inserts = 0; stale = false; provenance; summary };
-  Telemetry.Metrics.incr t.m_snapshot_writes;
-  Telemetry.Metrics.incr t.m_builds;
-  if existed then Telemetry.Metrics.incr t.m_rebuilds;
-  Telemetry.Metrics.set t.m_entries (float_of_int (Hashtbl.length t.index));
-  Ok (info_of t name m)
+(* One constructor per summary kind: parse the spec, build the summary,
+   and turn a rejected input into [Error].  The foreground builds and the
+   background rebuild worker share them, so a rebuild yields the bits a
+   build on the same sample would.  They touch no service state. *)
+let range_summary ~cells ~spec ~domain sample =
+  match Selest.Estimator.spec_of_string spec with
+  | Error e -> Error e
+  | Ok parsed -> (
+    match
+      Selest.Stored.of_estimator ~cells ~domain (Selest.Estimator.build parsed ~domain sample)
+    with
+    | summary -> Ok (Selest.Stored.Range summary)
+    | exception Invalid_argument msg -> Error msg)
 
-let check_name who name =
+let rect_summary ~spec ~domain_x ~domain_y points =
+  match Selest.Stored.rect_spec_of_string spec with
+  | Error e -> Error e
+  | Ok (bins_x, bins_y) -> (
+    match Selest.Stored.rect_of_points ~domain_x ~domain_y ~bins_x ~bins_y points with
+    | rect -> Ok (Selest.Stored.Rect rect)
+    | exception Invalid_argument msg -> Error msg)
+
+let join_summary ~spec ~domain ~n_r ~n_s sample_r sample_s =
+  match Selest.Stored.join_spec_of_string spec with
+  | Error e -> Error e
+  | Ok buckets -> (
+    match Selest.Stored.join_of_samples ~domain ~buckets ~n_r ~n_s sample_r sample_s with
+    | join -> Ok (Selest.Stored.Join join)
+    | exception Invalid_argument msg -> Error msg)
+
+(* Shared body of every foreground build: the summary is constructed in
+   the [catalog.build] span, then index, cache and snapshot move
+   together, so a successful build is immediately servable and survives
+   a restart. *)
+let build_entry t ~who ~name ~spec ~provenance construct =
   if name = "" then Error (who ^ ": entry name must not be empty")
-  else if String.contains name '\n' then
-    Error (who ^ ": entry name must not contain newlines")
-  else Ok ()
+  else if String.contains name '\n' then Error (who ^ ": entry name must not contain newlines")
+  else
+    match Telemetry.Span.with_span "catalog.build" construct with
+    | Error msg -> Error msg
+    | Ok summary ->
+      let existed = Hashtbl.mem t.index name in
+      let m = meta_of summary ~spec ~provenance ~inserts:0 ~stale:false in
+      Hashtbl.replace t.index name m;
+      Lru.add t.cache name summary;
+      persist t name m;
+      Telemetry.Metrics.incr t.m_builds;
+      if existed then Telemetry.Metrics.incr t.m_rebuilds;
+      Telemetry.Metrics.set t.m_entries (float_of_int (Hashtbl.length t.index));
+      Ok (info_of t name m)
 
 let build ?provenance t ~name ~spec ~domain ~sample =
-  match check_name "Catalog.Service.build" name with
-  | Error msg -> Error msg
-  | Ok () -> (
-    match Selest.Estimator.spec_of_string spec with
-    | Error e -> Error e
-    | Ok parsed -> (
-      match
-        Telemetry.Span.with_span "catalog.build" (fun () ->
-            let est = Selest.Estimator.build parsed ~domain sample in
-            Selest.Stored.of_estimator ~cells:t.config.cells ~domain est)
-      with
-      | exception Invalid_argument msg -> Error msg
-      | summary -> install_built t ~name ~spec ~provenance (Selest.Stored.Range summary)))
+  build_entry t ~who:"Catalog.Service.build" ~name ~spec ~provenance (fun () ->
+      range_summary ~cells:t.config.cells ~spec ~domain sample)
 
 let build_rect t ~name ~spec ~domain_x ~domain_y ~points =
-  match check_name "Catalog.Service.build_rect" name with
-  | Error msg -> Error msg
-  | Ok () -> (
-    match Selest.Stored.rect_spec_of_string spec with
-    | Error e -> Error e
-    | Ok (bins_x, bins_y) -> (
-      match
-        Telemetry.Span.with_span "catalog.build" (fun () ->
-            Selest.Stored.rect_of_points ~domain_x ~domain_y ~bins_x ~bins_y points)
-      with
-      | exception Invalid_argument msg -> Error msg
-      | rect -> install_built t ~name ~spec ~provenance:None (Selest.Stored.Rect rect)))
+  build_entry t ~who:"Catalog.Service.build_rect" ~name ~spec ~provenance:None (fun () ->
+      rect_summary ~spec ~domain_x ~domain_y points)
 
 let build_join t ~name ~spec ~domain ~n_r ~n_s ~sample_r ~sample_s =
-  match check_name "Catalog.Service.build_join" name with
-  | Error msg -> Error msg
-  | Ok () -> (
-    match Selest.Stored.join_spec_of_string spec with
-    | Error e -> Error e
-    | Ok buckets -> (
-      match
-        Telemetry.Span.with_span "catalog.build" (fun () ->
-            Selest.Stored.join_of_samples ~domain ~buckets ~n_r ~n_s sample_r sample_s)
-      with
-      | exception Invalid_argument msg -> Error msg
-      | join -> install_built t ~name ~spec ~provenance:None (Selest.Stored.Join join)))
+  build_entry t ~who:"Catalog.Service.build_join" ~name ~spec ~provenance:None (fun () ->
+      join_summary ~spec ~domain ~n_r ~n_s sample_r sample_s)
 
 let unknown name = Error (Printf.sprintf "unknown catalog entry %S" name)
 
@@ -410,19 +410,11 @@ let drop t name =
 
 (* One cache access per call: a hit, or a miss that loads the snapshot
    into the cache.  Raises on unknown names and unreadable snapshots.
-   The hit path goes through [Lru.find_exn] and allocates nothing. *)
+   The hit path allocates nothing. *)
 let resolve_exn t name =
   if not (Hashtbl.mem t.index name) then
     invalid_arg (Printf.sprintf "Catalog.Service: unknown entry %S" name);
-  match Lru.find_exn t.cache name with
-  | summary -> summary
-  | exception Not_found -> (
-    match Snapshot.load ~path:(Snapshot.path ~dir:t.dir name) with
-    | Ok e ->
-      Lru.add t.cache name e.Snapshot.summary;
-      e.Snapshot.summary
-    | Error msg ->
-      invalid_arg (Printf.sprintf "Catalog.Service: snapshot of %S unreadable: %s" name msg))
+  summary_exn t name ~resolve:true
 
 (* The range-query paths keep their historical exception contract; a
    range request against a rect/join entry is a caller error of the same
@@ -435,23 +427,19 @@ let resolve_range_exn t name =
       (Printf.sprintf "Catalog.Service: entry %S is a %s entry, not range" name
          (Selest.Stored.kind_name (Selest.Stored.any_kind other)))
 
-let answer ?(jobs = 1) t requests =
-  if jobs < 1 then invalid_arg "Catalog.Service.answer: jobs must be >= 1";
+let answer t requests =
   Telemetry.Metrics.add t.m_batch_requests (Array.length requests);
   Telemetry.Span.with_span ~hist:t.m_answer_seconds "catalog.answer" (fun () ->
       (* Group per entry: each distinct name costs one cache access per
-         batch, however many requests mention it.  Resolution runs in the
-         calling domain (cache and disk are single-owner); only the pure
-         summary probes fan out. *)
+         batch, however many requests mention it. *)
       let resolved = Hashtbl.create 8 in
       Array.iter
         (fun (name, _, _) ->
           if not (Hashtbl.mem resolved name) then
             Hashtbl.replace resolved name (resolve_range_exn t name))
         requests;
-      Parallel.Map.map ~jobs
-        (fun (name, a, b) ->
-          Selest.Stored.selectivity (Hashtbl.find resolved name) ~a ~b)
+      Array.map
+        (fun (name, a, b) -> Selest.Stored.selectivity (Hashtbl.find resolved name) ~a ~b)
         requests)
 
 (* The served fast path.  Structure-of-arrays in, answers out, zero
@@ -675,77 +663,38 @@ let install_summary t rt name (m : meta) (st : astate) summary ~reset_staleness 
   st.observes_since_refresh <- 0;
   Telemetry.Metrics.incr t.m_swaps
 
-(* The worker closes over its own copy of the reservoir sample and the
-   entry's immutable build inputs — it never touches service state.  The
-   (cheap) snapshot copy happens here in the owner.  What a rebuild means
-   is kind-specific: range refits the spec on the sample; rect re-grids
-   the paired reservoirs; join re-buckets the R side from its reservoir
-   while keeping the summarized S side (inserts stream into R). *)
+(* Everything the worker needs is computed here, in the owner: the
+   reservoir samples, the rect lockstep check, and for join the current
+   summary's S side and relation sizes (inserts stream into R, so a join
+   rebuild re-buckets R and keeps S).  The worker then only runs the
+   kind's constructor and never touches service state. *)
 let launch_rebuild t rt name (m : meta) (st : astate) =
   let p =
     { p_name = name; p_m = Mutex.create (); p_result = None; p_thread = None }
   in
+  let spec = m.spec and domain = m.domain in
+  let sample = Online.Reservoir.sample st.reservoir in
   let job : unit -> (Selest.Stored.any, string) result =
     match m.kind with
     | Selest.Stored.Range_kind ->
-      let sample = Online.Reservoir.sample st.reservoir in
-      let spec = m.spec and domain = m.domain and cells = m.cells in
-      fun () -> (
-        match Selest.Estimator.spec_of_string spec with
-        | Error e -> Error e
-        | Ok parsed -> (
-          match
-            Selest.Stored.of_estimator ~cells ~domain
-              (Selest.Estimator.build parsed ~domain sample)
-          with
-          | summary -> Ok (Selest.Stored.Range summary)
-          | exception Invalid_argument msg -> Error msg))
+      let cells = m.cells in
+      fun () -> range_summary ~cells ~spec ~domain sample
     | Selest.Stored.Rect_kind ->
-      let xs = Online.Reservoir.sample st.reservoir in
-      let ys =
-        match st.reservoir_y with
-        | Some ry -> Online.Reservoir.sample ry
-        | None -> [||]
-      in
-      let spec = m.spec and domain_x = m.domain in
-      let domain_y = Option.value ~default:m.domain m.domain_y in
-      fun () -> (
-        match Selest.Stored.rect_spec_of_string spec with
-        | Error e -> Error e
-        | Ok (bins_x, bins_y) ->
-          if Array.length xs <> Array.length ys then
-            Error "rect rebuild: reservoirs out of lockstep"
-          else (
-            match
-              Selest.Stored.rect_of_points ~domain_x ~domain_y ~bins_x ~bins_y
-                (Array.map2 (fun x y -> (x, y)) xs ys)
-            with
-            | rect -> Ok (Selest.Stored.Rect rect)
-            | exception Invalid_argument msg -> Error msg))
-    | Selest.Stored.Join_kind ->
-      let sample_r = Online.Reservoir.sample st.reservoir in
-      let spec = m.spec and domain = m.domain in
-      let current =
-        match Lru.peek t.cache name with
-        | Some (Selest.Stored.Join j) -> Some j
-        | _ -> (
-          match Snapshot.load ~path:(Snapshot.path ~dir:t.dir name) with
-          | Ok { Snapshot.summary = Selest.Stored.Join j; _ } -> Some j
-          | _ -> None)
-      in
-      fun () -> (
-        match (Selest.Stored.join_spec_of_string spec, current) with
-        | Error e, _ -> Error e
-        | Ok _, None -> Error "join rebuild: current summary unreadable"
-        | Ok buckets, Some j ->
-          let n_r, n_s = Selest.Stored.join_sizes j in
-          let _, sample_s = Selest.Stored.join_samples j in
-          (match
-             Selest.Stored.join_of_samples ~domain ~buckets ~n_r ~n_s sample_r
-               sample_s
-           with
-          | join -> Ok (Selest.Stored.Join join)
-          | exception Invalid_argument msg -> Error msg))
+      let ys = Option.fold ~none:[||] ~some:Online.Reservoir.sample st.reservoir_y in
+      if Array.length sample <> Array.length ys then fun () ->
+        Error "rect rebuild: reservoirs out of lockstep"
+      else
+        let points = Array.map2 (fun x y -> (x, y)) sample ys in
+        let domain_y = Option.value ~default:domain m.domain_y in
+        fun () -> rect_summary ~spec ~domain_x:domain ~domain_y points
+    | Selest.Stored.Join_kind -> (
+      match summary_exn t name ~resolve:false with
+      | Selest.Stored.Join j ->
+        let n_r, n_s = Selest.Stored.join_sizes j in
+        let sample_s = snd (Selest.Stored.join_samples j) in
+        fun () -> join_summary ~spec ~domain ~n_r ~n_s sample sample_s
+      | _ | (exception Invalid_argument _) ->
+        fun () -> Error "join rebuild: current summary unreadable")
   in
   rt.pending <- Some p;
   let worker () =

@@ -6,17 +6,18 @@
     persisted as an atomic snapshot file ({!Snapshot}), kept hot in an LRU
     cache ({!Lru}) while queried, tracked for staleness as the underlying
     relation changes, and rebuilt from a fresh sample when its insert
-    budget runs out.  Batch queries fan out over [Parallel.Map], so
-    serving throughput scales with the [jobs] knob while answers stay
-    bit-identical for every value of it.
+    budget runs out.  Every entry point answers from the same stored
+    summary, so a batch, a structure-of-arrays batch and a single query
+    return bit-identical answers.
 
     The full entry lifecycle (build → snapshot → serve → stale → rebuild),
     the on-disk format and cache-tuning guidance are documented in
     [docs/CATALOG.md].
 
-    A service is single-owner (the cache mutates on reads); concurrency
-    lives {e inside} {!answer}, which only reads immutable summaries from
-    its worker domains. *)
+    A service is single-owner (the cache mutates on reads): the serving
+    engine runs every call under one catalog mutex.  The only other
+    thread is the adaptive rebuild worker, which touches no service
+    state. *)
 
 type config = {
   capacity : int;  (** max summaries resident in the cache (default 32) *)
@@ -40,8 +41,10 @@ val open_dir : ?config:config -> string -> t * (string * string) list
     swept and reported the same way.  A directory written by an older,
     hash-sharded server (snapshots in [shard-<i>/] subdirectories) is
     flattened first: every snapshot moves back into [dir] and the emptied
-    subdirectories are removed, so it opens with every entry.  The cache
-    starts cold; summaries load on first access.
+    subdirectories are removed, so it opens with every entry.  The
+    summaries parsed while indexing stay cached, up to [config.capacity]
+    of them in file-name order (counted as neither misses nor
+    evictions); the rest load on first access.
     @raise Invalid_argument on a non-positive [config] field.
     @raise Sys_error if [dir] cannot be created or read. *)
 
@@ -174,14 +177,13 @@ val drop : t -> string -> (unit, string) result
 (** Remove an entry entirely: index, cache and snapshot file.  [Error] on
     an unknown name. *)
 
-val answer : ?jobs:int -> t -> (string * float * float) array -> float array
+val answer : t -> (string * float * float) array -> float array
 (** [answer t requests] evaluates a batch of [(name, a, b)] range queries
     and returns their selectivities in request order.  Each distinct name
     is resolved once per batch — a cache hit, or a miss that loads the
-    snapshot and caches it — then the per-request evaluation runs on
-    [jobs] domains via [Parallel.Map.map]; results are bit-identical for
-    every [jobs] value.  @raise Invalid_argument on an unknown name, an
-    unreadable snapshot, or [jobs < 1]. *)
+    snapshot and caches it — then every request is evaluated in the
+    calling thread.  @raise Invalid_argument on an unknown or non-range
+    name, or an unreadable snapshot. *)
 
 val answer_into :
   t ->
@@ -195,13 +197,11 @@ val answer_into :
     [Q(a.(i), b.(i))] against entry [names.(i)] into [out.(i)] for
     [0 <= i < n] — the structure-of-arrays twin of {!answer}, and the
     serving engine's fast path.  Results are bit-identical to {!answer}
-    (both reduce to the same per-cell probe; see
+    (both read the summary's one O(1) evaluator; see
     [Selest.Stored.selectivity_into]).  Each maximal run of equal
     adjacent names is resolved once, so callers should keep same-entry
     queries contiguous; at steady state (summaries resident, buffers
-    caller-owned) the call allocates nothing.  Evaluation is sequential
-    in the calling thread — the batch kernel is cheap enough that the
-    fan-out of {!answer} only pays off for cold mixes.
+    caller-owned) the call allocates nothing.
     @raise Invalid_argument on an unknown name, an unreadable snapshot,
     [n < 0], or arrays shorter than [n]. *)
 

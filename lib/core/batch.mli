@@ -5,8 +5,9 @@
     every call, and re-derives per-estimator constants per query.
     {!compile} flattens a fitted estimator into plain [float array]s plus
     unboxed scalars once, and {!estimate_into} then evaluates a whole
-    query batch inside one loop with no per-query allocation — the hot
-    path the serving engine and the [bench micro] target run.
+    query batch inside one loop with no per-query allocation — the path
+    the advisor's sweep and the [bench micro] target time.  Serving does
+    not run it: the catalog answers from [Stored] summaries.
 
     {b Bit-identity.}  For every estimator spec except the Gaussian
     kernel, batch results are bit-identical to the scalar path: the

@@ -1,6 +1,7 @@
 (* The catalog serving layer: LRU residency policy, atomic snapshot
-   persistence with skip-and-report recovery, staleness tracking, and the
-   batch query front end's jobs-independence. *)
+   persistence with skip-and-report recovery, staleness tracking, the
+   agreement of the query entry points, and background rebuilds that
+   reproduce a foreground build. *)
 
 module Lru = Catalog.Lru
 module Snapshot = Catalog.Snapshot
@@ -183,22 +184,28 @@ let test_service_reopen () =
     [ "orders/amount"; "users/age" ] (Service.names svc3);
   check Alcotest.bool "survivor answers intact" true (Service.answer svc3 requests = before)
 
+let multikind_points =
+  Array.init 300 (fun i -> (float_of_int (i * 7 mod 97), float_of_int (i * i mod 61)))
+
+(* Two range entries, one rect entry and one join entry. *)
+let build_multikind svc =
+  build_two svc;
+  ignore
+    (or_fail
+       (Service.build_rect svc ~name:"orders/amount_x_age" ~spec:"hist2d:8"
+          ~domain_x:domain_a ~domain_y:domain_b ~points:multikind_points));
+  ignore
+    (or_fail
+       (Service.build_join svc ~name:"orders_join_users" ~spec:"edh:16" ~domain:domain_a
+          ~n_r:5000 ~n_s:4000 ~sample_r:sample_a ~sample_s:sample_b))
+
 (* All three summary kinds persist through the same snapshot layer:
-   build range + rect + join, kill the handle, reopen cold, and require
+   build range + rect + join, kill the handle, reopen, and require
    every answer bit-identical and every info kind-faithful. *)
 let test_multikind_reopen () =
   let dir = fresh_dir () in
   let svc, _ = Service.open_dir dir in
-  build_two svc;
-  let points = Array.init 300 (fun i -> (float_of_int (i * 7 mod 97), float_of_int (i * i mod 61))) in
-  ignore
-    (or_fail
-       (Service.build_rect svc ~name:"orders/amount_x_age" ~spec:"hist2d:8"
-          ~domain_x:domain_a ~domain_y:domain_b ~points));
-  ignore
-    (or_fail
-       (Service.build_join svc ~name:"orders_join_users" ~spec:"edh:16" ~domain:domain_a
-          ~n_r:5000 ~n_s:4000 ~sample_r:sample_a ~sample_s:sample_b));
+  build_multikind svc;
   let rect_queries =
     [ (3.0, 40.0, 0.0, 30.0); (17.0, 17.0, 4.0, 4.0); (-10.0, 200.0, -10.0, 100.0) ]
   in
@@ -242,21 +249,74 @@ let test_multikind_reopen () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "answer_one accepted a join entry"
 
-let test_answer_jobs_identical () =
+(* The three range entry points answer from the same summary: a batch
+   whose names alternate (so [answer_into] resolves every request on its
+   own run) agrees bit-for-bit with the structure-of-arrays batch and
+   with single queries. *)
+let test_answer_entry_points_agree () =
   let dir = fresh_dir () in
   let svc, _ = Service.open_dir dir in
   build_two svc;
-  let seq = Service.answer ~jobs:1 svc requests in
-  let par = Service.answer ~jobs:4 svc requests in
-  check Alcotest.bool "jobs=1 vs jobs=4 bit-identical" true (seq = par);
+  let interleaved =
+    [|
+      ("orders/amount", 3.0, 40.0);
+      ("users/age", 0.0, 30.5);
+      ("orders/amount", -10.0, 200.0);
+      ("users/age", 59.0, 60.0);
+    |]
+  in
+  let batch = Service.answer svc interleaved in
+  let n = Array.length interleaved in
+  let out = Array.make n nan in
+  Service.answer_into svc ~n
+    ~names:(Array.map (fun (name, _, _) -> name) interleaved)
+    ~a:(Array.map (fun (_, a, _) -> a) interleaved)
+    ~b:(Array.map (fun (_, _, b) -> b) interleaved)
+    ~out;
+  Array.iteri
+    (fun i (name, a, b) ->
+      check Alcotest.bool (Printf.sprintf "request %d: answer = answer_into" i) true
+        (Float.equal batch.(i) out.(i));
+      check Alcotest.bool (Printf.sprintf "request %d: answer = answer_one" i) true
+        (Float.equal batch.(i) (or_fail (Service.answer_one svc ~name ~a ~b))))
+    interleaved;
   Alcotest.check_raises "unknown name raises"
     (Invalid_argument "Catalog.Service: unknown entry \"nope\"") (fun () ->
       ignore (Service.answer svc [| ("nope", 0.0, 1.0) |]));
-  (match Service.answer_one svc ~name:"nope" ~a:0.0 ~b:1.0 with
+  match Service.answer_one svc ~name:"nope" ~a:0.0 ~b:1.0 with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "answer_one accepted an unknown name");
-  let one = or_fail (Service.answer_one svc ~name:"users/age" ~a:0.0 ~b:30.5) in
-  check Alcotest.bool "answer_one matches batch" true (Float.equal one seq.(1))
+  | Ok _ -> Alcotest.fail "answer_one accepted an unknown name"
+
+(* Reopening keeps the summaries it parsed while indexing, up to the
+   cache capacity, so the first query of each entry is a hit rather than
+   a second parse of the same file.  A capacity-1 reopen keeps only the
+   first, counts no eviction for the rest, and serves the same bits. *)
+let test_reopen_keeps_parsed_summaries () =
+  let dir = fresh_dir () in
+  let svc, _ = Service.open_dir dir in
+  build_multikind svc;
+  let answer_each s =
+    [
+      or_fail (Service.answer_one s ~name:"orders/amount" ~a:3.0 ~b:40.0);
+      or_fail (Service.answer_one s ~name:"users/age" ~a:0.0 ~b:30.5);
+      or_fail
+        (Service.answer_rect s ~name:"orders/amount_x_age" ~x_lo:3.0 ~x_hi:40.0 ~y_lo:0.0
+           ~y_hi:30.0);
+      or_fail (Service.answer_join s ~name:"orders_join_users" ~pred:Selest.Stored.Join_lt);
+    ]
+  in
+  let warm, _ = Service.open_dir dir in
+  let warm_answers = answer_each warm in
+  let s = Service.cache_stats warm in
+  check Alcotest.int "every entry answered from the open's parse: no misses" 0 s.Lru.misses;
+  check Alcotest.int "one hit per entry" 4 s.Lru.hits;
+  let small, _ =
+    Service.open_dir ~config:{ Service.default_config with Service.capacity = 1 } dir
+  in
+  check Alcotest.int "a capacity-1 reopen counts no eviction" 0
+    (Service.cache_stats small).Lru.evictions;
+  check Alcotest.bool "capacity-1 answers bit-identical" true
+    (List.for_all2 Float.equal warm_answers (answer_each small))
 
 (* The serving fast path: structure-of-arrays answers must be
    bit-identical to [answer], and once the summaries are resident a
@@ -486,6 +546,90 @@ let test_adaptive_refresh_rejects_nonfinite () =
   check (Alcotest.array Alcotest.int64) "reopen serves the same bits" before
     (bits (Service.answer svc2 probes))
 
+(* A background rebuild runs the kind's constructor, as a foreground
+   build does: insert a known sample past the insert budget into a
+   reservoir large enough to keep all of it, tick until the swap, and
+   require the swapped summary byte-equal to [build_*] on the same sample
+   in a fresh catalog. *)
+let snapshot_summary dir name =
+  let entry = or_fail (Snapshot.load ~path:(Snapshot.path ~dir name)) in
+  Selest.Stored.any_to_string entry.Snapshot.summary
+
+let rebuilt_summary ~build name values =
+  let dir = fresh_dir () in
+  let svc, _ =
+    Service.open_dir
+      ~config:{ Service.default_config with Service.rebuild_after_inserts = 50 }
+      dir
+  in
+  build svc;
+  Service.enable_adaptive
+    ~config:{ Service.default_adaptive_config with Service.reservoir_capacity = 4096 }
+    svc;
+  let before = snapshot_summary dir name in
+  ignore (or_fail (Service.insert svc ~name values));
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let swaps = ref 0 in
+  while !swaps = 0 && Unix.gettimeofday () < deadline do
+    swaps := Service.adaptive_tick svc;
+    if !swaps = 0 then Thread.delay 0.005
+  done;
+  check Alcotest.int "one background rebuild swapped in" 1 !swaps;
+  (before, snapshot_summary dir name)
+
+let built_summary ~build name =
+  let dir = fresh_dir () in
+  let svc, _ = Service.open_dir dir in
+  build svc;
+  snapshot_summary dir name
+
+let test_rebuild_equals_build_range () =
+  let build sample svc =
+    ignore
+      (or_fail
+         (Service.build svc ~name:"orders/amount" ~spec:"ewh:16" ~domain:domain_a ~sample))
+  in
+  let _, rebuilt = rebuilt_summary ~build:(build sample_a) "orders/amount" sample_b in
+  check Alcotest.string "rebuilt range summary = built"
+    (built_summary ~build:(build sample_b) "orders/amount")
+    rebuilt
+
+let test_rebuild_equals_build_rect () =
+  let build points svc =
+    ignore
+      (or_fail
+         (Service.build_rect svc ~name:"xy" ~spec:"hist2d:8" ~domain_x:domain_a
+            ~domain_y:domain_b ~points))
+  in
+  let fresh =
+    Array.init 200 (fun i -> (float_of_int (i * 5 mod 97), float_of_int (i mod 61)))
+  in
+  let flat = Array.concat (Array.to_list (Array.map (fun (x, y) -> [| x; y |]) fresh)) in
+  let _, rebuilt = rebuilt_summary ~build:(build multikind_points) "xy" flat in
+  check Alcotest.string "rebuilt rect summary = built"
+    (built_summary ~build:(build fresh) "xy")
+    rebuilt
+
+let test_rebuild_equals_build_join () =
+  let build ~sample_r ~sample_s svc =
+    ignore
+      (or_fail
+         (Service.build_join svc ~name:"r_join_s" ~spec:"edh:16" ~domain:domain_a ~n_r:5000
+            ~n_s:4000 ~sample_r ~sample_s))
+  in
+  let before, rebuilt =
+    rebuilt_summary ~build:(build ~sample_r:sample_a ~sample_s:sample_b) "r_join_s" sample_b
+  in
+  (* Inserts stream into R; the rebuild keeps the entry's own S side. *)
+  let own_s =
+    match Selest.Stored.any_of_string before with
+    | Ok (Selest.Stored.Join j) -> snd (Selest.Stored.join_samples j)
+    | _ -> Alcotest.fail "join entry's snapshot does not hold a join summary"
+  in
+  check Alcotest.string "rebuilt join summary = built"
+    (built_summary ~build:(build ~sample_r:sample_b ~sample_s:own_s) "r_join_s")
+    rebuilt
+
 let test_build_errors () =
   let dir = fresh_dir () in
   let svc, _ = Service.open_dir dir in
@@ -564,8 +708,10 @@ let () =
         [
           Alcotest.test_case "kill-and-reopen round trip" `Quick test_service_reopen;
           Alcotest.test_case "multi-kind entries survive reopen" `Quick test_multikind_reopen;
-          Alcotest.test_case "batch answers independent of jobs" `Quick
-            test_answer_jobs_identical;
+          Alcotest.test_case "batch answers agree across entry points" `Quick
+            test_answer_entry_points_agree;
+          Alcotest.test_case "reopen keeps the summaries it parsed" `Quick
+            test_reopen_keeps_parsed_summaries;
           Alcotest.test_case "answer_into: identity and zero allocation" `Quick
             test_answer_into;
           Alcotest.test_case "insert budget staleness" `Quick test_staleness;
@@ -585,6 +731,12 @@ let () =
             test_adaptive_drain_reaps_pending;
           Alcotest.test_case "refresh keeps the summary on a non-finite cell" `Quick
             test_adaptive_refresh_rejects_nonfinite;
+          Alcotest.test_case "background rebuild equals build: range" `Quick
+            test_rebuild_equals_build_range;
+          Alcotest.test_case "background rebuild equals build: rect" `Quick
+            test_rebuild_equals_build_rect;
+          Alcotest.test_case "background rebuild equals build: join" `Quick
+            test_rebuild_equals_build_join;
         ] );
       ( "layout",
         [
