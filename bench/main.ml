@@ -1247,8 +1247,8 @@ let bench_drift () =
     Server.Wire.Unix_socket
       (Filename.concat (Filename.get_temp_dir_name ()) "selest_bench_drift.sock")
   in
-  let rebuild_after = 400 in
-  let inserts_per_window = 600 and observes_per_window = 64 in
+  let rebuild_after = 400 and insert_frame = 100 in
+  let observes_per_window = 64 in
   let ok_or_die what = function
     | Ok v -> v
     | Error e ->
@@ -1301,18 +1301,25 @@ let bench_drift () =
             let timeline =
               Array.init windows (fun w ->
                   if adaptive && w > 0 then begin
-                    (* The relation moved: stream a window of fresh values
-                       (tripping the rebuild budget), wait for the
-                       background swap to land, then feed back a window of
-                       executed-query truths (tripping a feedback
-                       refresh). *)
+                    (* The relation moved: stream exactly one rebuild
+                       budget of fresh values.  The insert that trips the
+                       budget launches the rebuild in its own maintenance
+                       tick, so the rebuild samples the reservoir after
+                       exactly those inserts, and no insert lands between
+                       launch and swap.  Nothing else can swap until the
+                       observes below (the previous window's feedback
+                       refresh landed synchronously on its last observe),
+                       so the next swap is that rebuild's.  Then feed back
+                       a window of executed-query truths (tripping a
+                       feedback refresh). *)
                     let swaps_before =
                       (Server.Engine.stats engine).Server.Engine.swaps
                     in
-                    for _ = 1 to inserts_per_window / 100 do
+                    for _ = 1 to rebuild_after / insert_frame do
                       ignore
                         (ok_or_die "insert"
-                           (Server.Client.insert client ~entry (window_values w 100)))
+                           (Server.Client.insert client ~entry
+                              (window_values w insert_frame)))
                     done;
                     let deadline = Unix.gettimeofday () +. 10.0 in
                     while
@@ -1321,8 +1328,8 @@ let bench_drift () =
                     do
                       Thread.delay 0.01
                     done;
-                    if (Server.Engine.stats engine).Server.Engine.swaps <= swaps_before
-                    then failwith "drift: rebuild swap did not land within 10s";
+                    if (Server.Engine.stats engine).Server.Engine.swaps <> swaps_before + 1
+                    then failwith "drift: the window's rebuild swap did not land within 10s";
                     for _ = 1 to observes_per_window do
                       let a = uniform_in lo hi and b = uniform_in lo hi in
                       let a, b = (Float.min a b, Float.max a b) in
@@ -1440,10 +1447,8 @@ let timing () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* Micro: scalar vs batch per-estimate cost, with the regression gate   *)
+(* Micro: serving-path per-estimate cost, with the regression gate     *)
 (* ------------------------------------------------------------------ *)
-
-module Batch = Selest.Batch
 
 (* Set when the micro gate fails; main still writes BENCH_results.json
    (so the regression is diffable) and then exits non-zero. *)
@@ -1477,40 +1482,24 @@ let words_per_op f ops =
   done;
   (Gc.minor_words () -. w0) /. float_of_int (10 * ops)
 
-(* The per-estimate scalar-vs-batch comparison behind docs/PERFORMANCE.md:
-   each estimator family's closure path against its compiled batch plan
-   over the same query arrays, plus the stored-summary and catalog
-   serving paths.  Writes micro_by_op to BENCH_results.json (schema v5)
-   and enforces the regression gate:
+(* The per-estimate cost of the serving paths behind docs/PERFORMANCE.md:
+   each op's one-query-at-a-time path against its batch path over the
+   same query arrays — the stored-summary evaluator (at several query
+   widths), the catalog answer path and the wire decoder.  Writes
+   micro_by_op to BENCH_results.json and enforces the regression gate:
 
    - every batch path must allocate nothing per estimate, and
-   - per-op speedup floors must hold.  The floors sit well below the
-     speedups measured on the reference machine (docs/PERFORMANCE.md) —
-     the gate catches regressions of the batch path on noisy hardware,
-     it does not re-measure the headline each run.  The headline floor
-     is 5x on the LUT-backed Gaussian kernel, the op the batch path's
-     ~10x target was set for: its scalar baseline pays a transcendental
-     per sample, which the shared CDF lookup table replaces.  Ops whose
-     cost is arithmetic shared bit-for-bit by both paths (ASH, the
-     Epanechnikov kernel, the hybrid) cannot speed up by more than their
-     per-call overhead and carry no floor; their measured speedups are
-     still recorded and reported. *)
-let micro_headline_op = "Kernel(gaussian,none,NS)"
-
-let micro_floors =
-  [
-    (micro_headline_op, 5.0);
-    ("Sampling", 1.5);
-    ("EWH(NS)", 1.1);
-    ("stored", 1.0);  (* probe arithmetic is shared: batch must never lose *)
-    ("catalog.answer", 1.3);
-  ]
+   - per-op speedup floors must hold.  The stored evaluator's probe
+     arithmetic is shared by both paths, so its batch path must simply
+     never lose; the catalog batch resolves each entry once per run
+     instead of once per query. *)
+let micro_floors = [ ("stored", 1.0); ("catalog.answer", 1.3) ]
 
 (* The most a 50%-wide stored query may cost against a 1%-wide one. *)
 let micro_width_ratio = 2.0
 
 let micro () =
-  header "micro: per-estimate cost, scalar closure path vs compiled batch path";
+  header "micro: per-estimate cost of the serving paths, scalar vs batch";
   let ds = dataset "u(20)" in
   let s = sample ds in
   let domain = E.domain_of ds in
@@ -1525,8 +1514,16 @@ let micro () =
   Printf.printf "%-24s %12s %12s %9s %12s %12s\n" "op" "scalar ns" "batch ns" "speedup"
     "scalar w/est" "batch w/est";
   let rows = ref [] in
+  (* Best of three interleaved timings per side, as in the width gate
+     below: a slow spell on a shared host lands on both sides rather than
+     deciding a floor on its own. *)
   let row op scalar batch =
-    let scalar_ns = ns_per_op scalar n and batch_ns = ns_per_op batch n in
+    let scalar_ns = ref Float.infinity and batch_ns = ref Float.infinity in
+    for _ = 1 to 3 do
+      scalar_ns := Float.min !scalar_ns (ns_per_op scalar n);
+      batch_ns := Float.min !batch_ns (ns_per_op batch n)
+    done;
+    let scalar_ns = !scalar_ns and batch_ns = !batch_ns in
     let scalar_words = words_per_op scalar n and batch_words = words_per_op batch n in
     let speedup = scalar_ns /. batch_ns in
     Printf.printf "%-24s %12.1f %12.1f %8.2fx %12.2f %12.2f\n%!" op scalar_ns batch_ns
@@ -1535,35 +1532,6 @@ let micro () =
       { Record.scalar_ns; batch_ns; scalar_words; batch_words; speedup };
     rows := (op, speedup, batch_words) :: !rows
   in
-  let specs =
-    Est.
-      [
-        Sampling;
-        Equi_width Normal_scale_bins;
-        Equi_depth { bins = 25 };
-        Ash { bins = Normal_scale_bins; shifts = 10 };
-        Frequency_polygon (Fixed_bins 25);
-        kernel_defaults;
-        Kernel
-          {
-            kernel = Kernels.Kernel.Gaussian;
-            boundary = Kde.Estimator.No_treatment;
-            bandwidth = Normal_scale_bandwidth;
-          };
-        hybrid_defaults;
-      ]
-  in
-  List.iter
-    (fun spec ->
-      let est = Est.build spec ~domain s in
-      let plan = Batch.compile est in
-      row (Est.spec_name spec)
-        (fun () ->
-          for i = 0 to n - 1 do
-            out.(i) <- Est.selectivity est ~a:qa.(i) ~b:qb.(i)
-          done)
-        (fun () -> Batch.estimate_into plan ~n ~a:qa ~b:qb ~out))
-    specs;
   (* The persisted-summary probe: what the catalog actually evaluates. *)
   let stored =
     Selest.Stored.of_estimator ~domain (Est.build Est.kernel_defaults ~domain s)
@@ -1641,20 +1609,7 @@ let micro () =
       done);
   (* Gate: batch paths allocation-free, per-op speedup floors hold. *)
   let rows = List.rev !rows in
-  let geomean =
-    exp (List.fold_left (fun acc (_, sp, _) -> acc +. log sp) 0.0 rows
-         /. float_of_int (List.length rows))
-  in
-  Record.note_extra ~key:"speedup_geomean" geomean;
   Record.note_extra ~key:"queries_per_batch" (float_of_int n);
-  (match List.find_opt (fun (op, _, _) -> op = micro_headline_op) rows with
-  | Some (_, sp, _) ->
-    Record.note_extra ~key:"headline_speedup" sp;
-    Printf.printf "headline (%s): %.2fx; geomean over %d ops: %.2fx\n" micro_headline_op sp
-      (List.length rows) geomean
-  | None ->
-    micro_gate_failed := true;
-    Printf.printf "GATE FAIL: headline op %s was not measured\n" micro_headline_op);
   List.iter
     (fun (op, _, w) ->
       if w > 0.0 then begin
@@ -1723,8 +1678,8 @@ let bench_advise () =
       let ds = dataset file in
       let s = sample ds in
       let sweep =
-        Advisor.Sweep.run ~jobs:!jobs ~targets:advise_targets ds ~seed:query_seed
-          ~sample:s
+        Advisor.Sweep.run ~jobs:!jobs ~targets:advise_targets
+          ~cells:Cat.default_config.Cat.cells ds ~seed:query_seed ~sample:s
       in
       let r =
         match Advisor.Recommend.recommend sweep with

@@ -282,8 +282,8 @@ let advise_cmd =
     let placements = Option.map (fun s -> or_die (parse_placements s)) placements in
     let sweep =
       try
-        Advisor.Sweep.run ~jobs ?targets ?placements ~tolerance ~count ds
-          ~seed:query_seed ~sample
+        Advisor.Sweep.run ~jobs ?targets ?placements ~tolerance ~count
+          ~cells:Catalog.Service.(default_config.cells) ds ~seed:query_seed ~sample
       with Invalid_argument msg -> or_die (Error msg)
     in
     let r = or_die (Advisor.Recommend.recommend ~weights sweep) in
@@ -296,8 +296,9 @@ let advise_cmd =
       let module S = Advisor.Sweep in
       Printf.printf "file: %s   records: %d   sample: %d   jobs: %d\n"
         (Data.Dataset.name ds) (Data.Dataset.size ds) n jobs;
-      Printf.printf "workload grid: %d cell(s) x %d queries, tolerance +/-%.0f%%\n\n"
+      Printf.printf "workload grid: %d cell(s) x %d queries, tolerance +/-%.0f%%\n"
         (List.length sweep.S.s_workloads) count (100.0 *. tolerance);
+      Printf.printf "scored: served summaries of %d cells\n\n" sweep.S.s_stored_cells;
       Printf.printf "%-10s %-9s %-10s\n" "placement" "target%" "achieved%";
       List.iter
         (fun (p, t, (wl : W.t)) ->
@@ -548,7 +549,8 @@ let catalog_build_cmd =
          ~doc:"Summary spec in the kind's compact syntax: range specs like ewh:40 or \
                kernel (default kernel), hist2d:BXxBY for rect (default hist2d), \
                edh:BUCKETS for join (default edh). For $(b,--kind range), $(b,auto) \
-               runs the advisor sweep on the sample and builds its recommended spec, \
+               runs the advisor sweep on the sample, scoring each spec as the \
+               $(b,--cells)-cell summary it would store, and builds its recommended spec, \
                recording the recommendation line as the entry's provenance.")
   in
   let with_arg =
@@ -587,13 +589,18 @@ let catalog_build_cmd =
       let spec, provenance =
         if spec <> "auto" then (spec, None)
         else begin
-          (* The advisor sweeps the full suite on this very sample; the
-             recommendation line rides into the entry as provenance so
-             `catalog ls` can answer "why this spec?". *)
-          let sweep = Advisor.Sweep.run ds ~seed:9L ~sample in
+          (* The advisor sweeps the full suite on this very sample,
+             scoring each spec as the [cells]-cell summary this build
+             stores; the recommendation line rides into the entry as
+             provenance so `catalog ls` can answer "why this spec?". *)
+          let sweep =
+            try Advisor.Sweep.run ~cells ds ~seed:9L ~sample
+            with Invalid_argument msg -> or_die (Error ("catalog build: " ^ msg))
+          in
           let r = or_die (Advisor.Recommend.recommend sweep) in
-          Printf.printf "advisor: chose %s (%s): mean mre %.2f%%, regret %.3fx vs best\n"
-            r.Advisor.Recommend.r_spec r.Advisor.Recommend.r_label
+          Printf.printf
+            "advisor: chose %s (%s) scored at %d cells: mean mre %.2f%%, regret %.3fx vs best\n"
+            r.Advisor.Recommend.r_spec r.Advisor.Recommend.r_label cells
             (100.0 *. r.Advisor.Recommend.r_mean_mre)
             r.Advisor.Recommend.r_regret;
           (r.Advisor.Recommend.r_spec, Some r.Advisor.Recommend.r_provenance)

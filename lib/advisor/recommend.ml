@@ -143,9 +143,9 @@ let recommend ?(weights = default_weights) (s : Sweep.t) =
           let provenance =
             Printf.sprintf
               "advisor v1 spec=%s dataset=%s seed=%Ld sample=%d grid=%dx%d count=%d \
-               mre=%.6g regret=%.3f"
+               cells=%d mre=%.6g regret=%.3f"
               p.Pareto.p_spec s.Sweep.s_dataset s.Sweep.s_seed s.Sweep.s_sample_size
-              bands placements s.Sweep.s_count p.Pareto.p_mre regret
+              bands placements s.Sweep.s_count s.Sweep.s_stored_cells p.Pareto.p_mre regret
           in
           Ok
             {

@@ -54,7 +54,8 @@ type t = {
       (** the sampling confidence bound, when the chosen spec is
           sampling-backed *)
   r_provenance : string;
-      (** one-line audit string (spec, seed, grid shape, regret) recorded
+      (** one-line audit string (spec, seed, grid shape, summary cells,
+          regret) recorded
           in catalog entries built with [--spec auto] *)
 }
 (** A recommendation with the evidence that produced it. *)

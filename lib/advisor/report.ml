@@ -199,6 +199,7 @@ let advise_report (s : Sweep.t) (r : Recommend.t) =
       ("seed", Int (Int64.to_int s.Sweep.s_seed));
       ("tolerance", Float s.Sweep.s_tolerance);
       ("count", Int s.Sweep.s_count);
+      ("summary_cells", Int s.Sweep.s_stored_cells);
       ("workloads", List (List.map workload_json s.Sweep.s_workloads));
       ("skipped", List (List.map skipped_json s.Sweep.s_skipped));
       ("costs", List (List.map cost_json s.Sweep.s_costs));

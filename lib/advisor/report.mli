@@ -42,6 +42,7 @@ val compare_report :
 
 val advise_report : Sweep.t -> Recommend.t -> json
 (** The [advise --json] payload: envelope with [kind = "advise"], the
+    cell count of the served summaries scored ([summary_cells]), the
     workload grid (achieved and skipped cells), per-spec costs (with the
     VC confidence bound on sampling rows), the crossover matrix, the
     Pareto front and the recommendation (spec, score, regrets,

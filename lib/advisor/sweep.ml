@@ -25,6 +25,7 @@ type t = {
   s_seed : int64;
   s_tolerance : float;
   s_count : int;
+  s_stored_cells : int;
   s_specs : (string * Est.spec) list;
   s_workloads : (Workloads.placement * float * Workloads.t) list;
   s_skipped : Workloads.failure list;
@@ -60,50 +61,38 @@ let vc_epsilon ~n =
   if n < 1 then invalid_arg "Advisor.Sweep.vc_epsilon: n must be >= 1";
   sqrt (0.5 /. float_of_int n *. (2.0 +. log (1. /. 0.05)))
 
-(* One prepared workload cell: bounds split into the SoA layout the batch
-   evaluator consumes, truths computed once and shared by every spec. *)
+(* One prepared workload cell: its queries occupy [p_pos, p_pos + p_n) of
+   the grid-wide bound arrays the served evaluator consumes, and its truths
+   are computed once and shared by every spec. *)
 type prepared = {
   p_placement : Workloads.placement;
   p_target : float;
+  p_pos : int;
   p_n : int;
-  p_a : float array;
-  p_b : float array;
   p_truth : float array;
 }
 
-let prepare ds (placement, target, (wl : Workloads.t)) =
-  let qs = wl.Workloads.queries in
-  {
-    p_placement = placement;
-    p_target = target;
-    p_n = Array.length qs;
-    p_a = Array.map (fun (q : Q.t) -> q.Q.lo) qs;
-    p_b = Array.map (fun (q : Q.t) -> q.Q.hi) qs;
-    p_truth =
-      Array.map
-        (fun (q : Q.t) -> float_of_int (D.exact_count ds ~lo:q.Q.lo ~hi:q.Q.hi))
-        qs;
-  }
-
-(* Per-query batch cost over the concatenated grid, repeated until the
-   measurement spans at least ~10 ms (or a rep cap) to get past timer
-   granularity. *)
-let time_batch plan ~n ~a ~b ~out =
-  Selest.Batch.estimate_into plan ~n ~a ~b ~out;
+(* Per-query cost of the served evaluator over the concatenated grid,
+   repeated until the measurement spans at least ~10 ms (or a rep cap) to
+   get past timer granularity. *)
+let time_evaluator summary ~a ~b ~out =
+  let len = Array.length a in
+  Selest.Stored.selectivity_into summary ~pos:0 ~len ~a ~b ~out;
   let t0 = Unix.gettimeofday () in
   let reps = ref 0 in
   let elapsed = ref 0. in
   while !elapsed < 0.01 && !reps < 200 do
-    Selest.Batch.estimate_into plan ~n ~a ~b ~out;
+    Selest.Stored.selectivity_into summary ~pos:0 ~len ~a ~b ~out;
     incr reps;
     elapsed := Unix.gettimeofday () -. t0
   done;
-  !elapsed /. float_of_int !reps /. float_of_int n *. 1e9
+  !elapsed /. float_of_int !reps /. float_of_int len *. 1e9
 
 let run ?(jobs = 1) ?(specs = default_suite) ?targets ?placements
-    ?(tolerance = Workloads.default_tolerance) ?(count = 200) ds ~seed ~sample =
+    ?(tolerance = Workloads.default_tolerance) ?(count = 200) ~cells ds ~seed ~sample =
   if specs = [] then invalid_arg "Advisor.Sweep.run: empty spec suite";
   if Array.length sample = 0 then invalid_arg "Advisor.Sweep.run: empty sample";
+  if cells < 1 then invalid_arg "Advisor.Sweep.run: cells must be >= 1";
   let grid = Workloads.grid ds ~seed ?targets ?placements ~tolerance ~count () in
   let workloads =
     List.filter_map
@@ -115,33 +104,46 @@ let run ?(jobs = 1) ?(specs = default_suite) ?targets ?placements
   in
   if workloads = [] then
     invalid_arg "Advisor.Sweep.run: no workload cell achieved its target";
-  let prepared = List.map (prepare ds) workloads in
-  let total = List.fold_left (fun acc p -> acc + p.p_n) 0 prepared in
-  let all_a = Array.make total 0. in
-  let all_b = Array.make total 0. in
-  let _ =
-    List.fold_left
-      (fun off p ->
-        Array.blit p.p_a 0 all_a off p.p_n;
-        Array.blit p.p_b 0 all_b off p.p_n;
-        off + p.p_n)
-      0 prepared
+  let queries =
+    Array.concat
+      (List.map (fun (_, _, (wl : Workloads.t)) -> wl.Workloads.queries) workloads)
+  in
+  let all_a = Array.map (fun (q : Q.t) -> q.Q.lo) queries in
+  let all_b = Array.map (fun (q : Q.t) -> q.Q.hi) queries in
+  let pos = ref 0 in
+  let prepared =
+    List.map
+      (fun (placement, target, (wl : Workloads.t)) ->
+        let qs = wl.Workloads.queries in
+        let truth (q : Q.t) = float_of_int (D.exact_count ds ~lo:q.Q.lo ~hi:q.Q.hi) in
+        let p =
+          {
+            p_placement = placement;
+            p_target = target;
+            p_pos = !pos;
+            p_n = Array.length qs;
+            p_truth = Array.map truth qs;
+          }
+        in
+        pos := !pos + p.p_n;
+        p)
+      workloads
   in
   let domain = Workload.Experiment.domain_of ds in
   let n_records = float_of_int (D.size ds) in
   let evaluate (spec_string, spec) =
     let t0 = Unix.gettimeofday () in
     let est = Est.build spec ~domain sample in
+    let summary = Selest.Stored.of_estimator ~cells ~domain est in
     let build_s = Unix.gettimeofday () -. t0 in
     let label = Est.name est in
-    let plan = Selest.Batch.compile est in
+    let out = Array.make (Array.length all_a) 0. in
+    let ns = time_evaluator summary ~a:all_a ~b:all_b ~out in
     let measurements =
       List.map
         (fun p ->
-          let out = Array.make p.p_n 0. in
-          Selest.Batch.estimate_into plan ~n:p.p_n ~a:p.p_a ~b:p.p_b ~out;
           let pairs =
-            Array.init p.p_n (fun i -> (p.p_truth.(i), out.(i) *. n_records))
+            Array.init p.p_n (fun i -> (p.p_truth.(i), out.(p.p_pos + i) *. n_records))
           in
           {
             m_spec = spec_string;
@@ -152,8 +154,6 @@ let run ?(jobs = 1) ?(specs = default_suite) ?targets ?placements
           })
         prepared
     in
-    let scratch = Array.make total 0. in
-    let ns = time_batch plan ~n:total ~a:all_a ~b:all_b ~out:scratch in
     let vc =
       match spec with
       | Est.Sampling -> Some (vc_epsilon ~n:(Array.length sample))
@@ -176,6 +176,7 @@ let run ?(jobs = 1) ?(specs = default_suite) ?targets ?placements
     s_seed = seed;
     s_tolerance = tolerance;
     s_count = count;
+    s_stored_cells = cells;
     s_specs = specs;
     s_workloads = workloads;
     s_skipped = skipped;

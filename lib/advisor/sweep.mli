@@ -1,8 +1,13 @@
 (** Estimator sweep over a targeted-selectivity workload grid.
 
     {!run} generates the {!Workloads} grid, builds every spec of the
-    candidate suite once on the shared sample, and evaluates each spec on
-    every workload cell through the {!Selest.Batch} path.  Specs are
+    candidate suite once on the shared sample, reduces it to the summary
+    the catalog serves ({!Selest.Stored.of_estimator} at the given cell
+    count — the constructor [Catalog.Service.range_summary] calls), and
+    evaluates each summary on every workload cell through
+    {!Selest.Stored.selectivity_into}, the served evaluator.  The errors
+    therefore describe what a catalog built from the same spec, sample
+    and cell count answers, not the raw estimator.  Specs are
     distributed over {!Parallel.Map} (one task per spec, mirroring
     {!Workload.Experiment.compare_specs}); each task computes its
     summaries sequentially in grid order, so every error figure is
@@ -23,9 +28,11 @@ type measurement = {
 type cost = {
   c_spec : string;
   c_label : string;
-  c_build_s : float;  (** wall-clock build time of the spec on the sample *)
+  c_build_s : float;
+      (** wall-clock time to build the spec on the sample and reduce it to
+          its served summary *)
   c_ns_per_estimate : float;
-      (** batch-path cost per query, measured over the whole grid *)
+      (** served-evaluator cost per query, measured over the whole grid *)
   c_vc_epsilon : float option;
       (** for sampling-backed specs: the VC-dimension uniform error bound
           {!vc_epsilon} at the sweep's sample size *)
@@ -39,6 +46,7 @@ type t = {
   s_seed : int64;  (** workload-generation seed *)
   s_tolerance : float;
   s_count : int;  (** queries per workload cell *)
+  s_stored_cells : int;  (** grid cells of the summaries scored *)
   s_specs : (string * Selest.Estimator.spec) list;  (** the swept suite *)
   s_workloads : (Workloads.placement * float * Workloads.t) list;
       (** achieved workload cells, grid order *)
@@ -72,13 +80,16 @@ val run :
   ?placements:Workloads.placement list ->
   ?tolerance:float ->
   ?count:int ->
+  cells:int ->
   Data.Dataset.t ->
   seed:int64 ->
   sample:float array ->
   t
-(** [run ds ~seed ~sample] sweeps the suite over the workload grid
-    ([count] defaults to 200 queries per cell).  Unachievable grid cells
+(** [run ~cells ds ~seed ~sample] sweeps the suite, each spec reduced to
+    a [cells]-cell served summary, over the workload grid ([count]
+    defaults to 200 queries per cell).  Unachievable grid cells
     are recorded in [s_skipped] and skipped by every spec; the sweep
     itself fails only if {e no} cell is achievable.
     @raise Invalid_argument on an empty suite, an empty sample, [jobs < 1],
-    or a grid with no achievable cell. *)
+    [cells < 1], a grid with no achievable cell, or a spec whose summary
+    has a non-finite cell. *)

@@ -110,6 +110,19 @@ val build :
     name, an unparseable spec, or estimator-construction failure (empty
     sample, empty domain). *)
 
+val range_summary :
+  cells:int ->
+  spec:string ->
+  domain:float * float ->
+  float array ->
+  (Selest.Stored.any, string) result
+(** [range_summary ~cells ~spec ~domain sample] is the summary {!build}
+    stores for a range entry built at [cells] cells, without touching a
+    catalog: [Selest.Stored.of_estimator] of the spec fitted on the
+    sample.  The background rebuild calls it too, and [Advisor.Sweep]
+    scores the same constructor.  [Error] on an unparseable spec or a
+    construction failure. *)
+
 val build_rect :
   t ->
   name:string ->

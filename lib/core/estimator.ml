@@ -215,29 +215,15 @@ let spec_of_string s =
     | Some _, _ -> assert false)
   | _, _ -> Error (Printf.sprintf "unknown estimator %S" s)
 
-(* The fitted structure behind the closures, exposed so the batch-plan
-   compiler (Batch.compile) can lay it out flat without rebuilding.  Specs
-   that lower to a plain histogram (Uniform, V-optimal, wavelet) share the
-   Histogram_repr constructor. *)
-type repr =
-  | Sampling_repr of float array
-  | Histogram_repr of Histograms.Histogram.t
-  | Ash_repr of Histograms.Ash.t
-  | Kde_repr of Kde.Estimator.t
-  | Hybrid_repr of Hybrid.Partitioned.t
-  | Frequency_polygon_repr of Histograms.Frequency_polygon.t
-
 (* The queryable estimator: name + closures over the fitted structure. *)
 type t = {
   spec : spec;
   selectivity : a:float -> b:float -> float;
   density : (float -> float) option;
-  repr : repr;
 }
 
 let name t = spec_name t.spec
 let spec t = t.spec
-let repr t = t.repr
 
 (* The per-call flag check keeps the disabled path allocation-free: one
    atomic load, then straight into the fitted closure. *)
@@ -299,15 +285,13 @@ let build_estimator spec_v ~domain samples =
   match spec_v with
   | Sampling ->
     let xs = phase spec_v "sort" (fun () -> sampling_estimator samples) in
-    { spec = spec_v; selectivity = sampling_selectivity xs; density = None;
-      repr = Sampling_repr xs }
+    { spec = spec_v; selectivity = sampling_selectivity xs; density = None }
   | Uniform_assumption ->
     let h = phase spec_v "bins" (fun () -> Histograms.Builders.uniform ~domain samples) in
     {
       spec = spec_v;
       selectivity = (fun ~a ~b -> Histograms.Histogram.selectivity h ~a ~b);
       density = Some (Histograms.Histogram.density h);
-      repr = Histogram_repr h;
     }
   | Equi_width rule ->
     let bins = phase spec_v "bandwidth" (fun () -> resolve_bins rule ~domain samples) in
@@ -318,7 +302,6 @@ let build_estimator spec_v ~domain samples =
       spec = spec_v;
       selectivity = (fun ~a ~b -> Histograms.Histogram.selectivity h ~a ~b);
       density = Some (Histograms.Histogram.density h);
-      repr = Histogram_repr h;
     }
   | Equi_depth { bins } ->
     let h =
@@ -328,7 +311,6 @@ let build_estimator spec_v ~domain samples =
       spec = spec_v;
       selectivity = (fun ~a ~b -> Histograms.Histogram.selectivity h ~a ~b);
       density = Some (Histograms.Histogram.density h);
-      repr = Histogram_repr h;
     }
   | Max_diff { bins } ->
     let h =
@@ -338,7 +320,6 @@ let build_estimator spec_v ~domain samples =
       spec = spec_v;
       selectivity = (fun ~a ~b -> Histograms.Histogram.selectivity h ~a ~b);
       density = Some (Histograms.Histogram.density h);
-      repr = Histogram_repr h;
     }
   | Ash { bins; shifts } ->
     let bins = phase spec_v "bandwidth" (fun () -> resolve_bins bins ~domain samples) in
@@ -349,7 +330,6 @@ let build_estimator spec_v ~domain samples =
       spec = spec_v;
       selectivity = (fun ~a ~b -> Histograms.Ash.selectivity ash ~a ~b);
       density = Some (Histograms.Ash.density ash);
-      repr = Ash_repr ash;
     }
   | Kernel { kernel; boundary; bandwidth } ->
     let h = phase spec_v "bandwidth" (fun () -> resolve_bandwidth bandwidth ~kernel samples) in
@@ -367,7 +347,6 @@ let build_estimator spec_v ~domain samples =
       spec = spec_v;
       selectivity = (fun ~a ~b -> Kde.Estimator.selectivity est ~a ~b);
       density = Some (Kde.Estimator.density est);
-      repr = Kde_repr est;
     }
   | Hybrid_spec { bandwidth; min_bin_count; max_change_points } ->
     let rule =
@@ -390,7 +369,6 @@ let build_estimator spec_v ~domain samples =
       spec = spec_v;
       selectivity = (fun ~a ~b -> Hybrid.Partitioned.selectivity est ~a ~b);
       density = Some (Hybrid.Partitioned.density est);
-      repr = Hybrid_repr est;
     }
   | Frequency_polygon rule ->
     let bins = phase spec_v "bandwidth" (fun () -> resolve_bins rule ~domain samples) in
@@ -401,7 +379,6 @@ let build_estimator spec_v ~domain samples =
       spec = spec_v;
       selectivity = (fun ~a ~b -> Histograms.Frequency_polygon.selectivity fp ~a ~b);
       density = Some (Histograms.Frequency_polygon.density fp);
-      repr = Frequency_polygon_repr fp;
     }
   | V_optimal { bins } ->
     let h = phase spec_v "bins" (fun () -> Histograms.V_optimal.build ~domain ~bins samples) in
@@ -409,7 +386,6 @@ let build_estimator spec_v ~domain samples =
       spec = spec_v;
       selectivity = (fun ~a ~b -> Histograms.Histogram.selectivity h ~a ~b);
       density = Some (Histograms.Histogram.density h);
-      repr = Histogram_repr h;
     }
   | Wavelet_spec { coefficients } ->
     if coefficients < 1 then invalid_arg "Estimator.build: coefficients must be >= 1";
@@ -420,7 +396,6 @@ let build_estimator spec_v ~domain samples =
       spec = spec_v;
       selectivity = (fun ~a ~b -> Histograms.Histogram.selectivity h ~a ~b);
       density = Some (Histograms.Histogram.density h);
-      repr = Histogram_repr h;
     }
 
 let build spec_v ~domain samples =

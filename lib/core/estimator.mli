@@ -96,23 +96,6 @@ val name : t -> string
 val spec : t -> spec
 (** The spec this estimator was built from. *)
 
-type repr =
-  | Sampling_repr of float array  (** the sorted sample (shared storage) *)
-  | Histogram_repr of Histograms.Histogram.t
-      (** equi-width, equi-depth, max-diff, uniform, V-optimal and wavelet
-          specs all lower to a plain histogram *)
-  | Ash_repr of Histograms.Ash.t
-  | Kde_repr of Kde.Estimator.t
-  | Hybrid_repr of Hybrid.Partitioned.t
-  | Frequency_polygon_repr of Histograms.Frequency_polygon.t
-      (** the fitted structure behind an estimator *)
-
-val repr : t -> repr
-(** The fitted structure {!selectivity} closes over, exposed for
-    {!Batch.compile}: the batch evaluator lays the same arrays out flat
-    instead of rebuilding, which is what makes batch and scalar results
-    bit-identical. *)
-
 val selectivity : t -> a:float -> b:float -> float
 (** Estimated distribution selectivity of [Q(a,b)], in [[0, 1]].  Feeds
     the [selest_selectivity_seconds] latency histogram when telemetry is

@@ -18,7 +18,6 @@ let build ~domain:(lo, hi) ~bins ~shifts samples =
 
 let shifts t = Array.length t.histos
 let bin_width t = t.width
-let components t = t.histos
 
 let selectivity t ~a ~b =
   let m = Array.length t.histos in

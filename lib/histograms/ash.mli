@@ -23,12 +23,6 @@ val bin_width : t -> float
 (** Common bin width [h] of the component histograms; successive origins
     differ by [h / shifts]. *)
 
-val components : t -> Histogram.t array
-(** The [m] component histograms in shift order (shared storage: do not
-    mutate).  The batch evaluator flattens their edge and count arrays into
-    one structure-of-arrays plan and must average in this exact order to
-    stay bit-identical with {!selectivity}. *)
-
 val selectivity : t -> a:float -> b:float -> float
 (** Mean of the component histograms' formula-(4) estimates. *)
 

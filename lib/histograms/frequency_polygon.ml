@@ -32,7 +32,6 @@ let of_histogram h =
 let build ~domain ~bins samples = of_histogram (Builders.equi_width ~domain ~bins samples)
 
 let bins t = Array.length t.knots_x - 2
-let knots t = (t.knots_x, t.knots_y)
 
 let density t x =
   let m = Array.length t.knots_x in

@@ -27,12 +27,6 @@ val bins : t -> int
 (** Bin count of the underlying equi-width histogram (the polygon has
     [bins + 2] knots, one half-bin outside each border). *)
 
-val knots : t -> float array * float array
-(** The knot positions and densities [(knots_x, knots_y)], [bins + 2] of
-    each (shared storage: do not mutate).  Exposed so the batch evaluator
-    can replay the trapezoid sum over the exact arrays the scalar path
-    reads. *)
-
 val density : t -> float -> float
 (** Piecewise-linear density; 0 beyond half a bin outside the domain. *)
 

@@ -164,20 +164,6 @@ let partition t = t.edges
 
 let bin_count t = Array.length t.bins
 
-type bin_view = {
-  bv_lo : float;
-  bv_hi : float;
-  bv_weight : float;
-  bv_kde : Kde.Estimator.t option; (* None: uniform-within-bin fallback *)
-}
-
-let bin_views t =
-  Array.map
-    (fun bin ->
-      let bv_kde = match bin.est with Kernel_bin est -> Some est | Uniform_bin -> None in
-      { bv_lo = bin.lo; bv_hi = bin.hi; bv_weight = bin.weight; bv_kde })
-    t.bins
-
 let bin_selectivity bin ~a ~b =
   let a = Float.max a bin.lo and b = Float.min b bin.hi in
   if a >= b then 0.0

@@ -47,17 +47,3 @@ val density : t -> float -> float
 val bin_count : t -> int
 (** Number of bins after merging. *)
 
-type bin_view = {
-  bv_lo : float;  (** left bin edge *)
-  bv_hi : float;  (** right bin edge *)
-  bv_weight : float;  (** fraction of all samples falling in this bin *)
-  bv_kde : Kde.Estimator.t option;
-      (** the bin's kernel estimator, or [None] for the uniform-within-bin
-          fallback (tiny or degenerate bin sample) *)
-}
-(** Read-only view of one fitted bin, for the batch-plan compiler. *)
-
-val bin_views : t -> bin_view array
-(** Views of the fitted bins in domain order.  The per-bin kernel
-    estimators are shared (not copies), so a batch plan compiled from the
-    views evaluates the exact structures {!selectivity} walks. *)

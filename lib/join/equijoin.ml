@@ -45,9 +45,8 @@ let exact_range_restricted_size r s ~lo ~hi =
   let nr = Array.length vr and ns = Array.length vs in
   (* Clamp in float space to the array's value range before the int
      conversion: [int_of_float] is unspecified outside [min_int, max_int],
-     so an unbounded range like [hi = infinity] must never reach it (the
-     Kernels.Lut.cdf bug class).  NaN bounds fail the [<=] guards and
-     fall out as an empty range. *)
+     so an unbounded range like [hi = infinity] must never reach it.  NaN
+     bounds fail the [<=] guards and fall out as an empty range. *)
   let v_min = float_of_int vr.(0) and v_max = float_of_int vr.(nr - 1) in
   let flo = Float.ceil lo and fhi = Float.floor hi in
   if not (flo <= fhi && flo <= v_max && fhi >= v_min) then 0

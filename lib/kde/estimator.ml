@@ -65,7 +65,6 @@ let bandwidth t = t.h
 let domain t = (t.lo, t.hi)
 let sample_size t = Array.length t.xs
 let samples t = t.xs
-let reflections t = (t.refl_left, t.refl_right)
 
 (* Unnormalized sum of F((b - X)/h) - F((a - X)/h) over a sorted array,
    touching only the O(k) samples whose kernel overlaps [a, b]. *)

@@ -60,12 +60,6 @@ val sample_size : t -> int
 val samples : t -> float array
 (** The sorted sample (shared storage: do not mutate). *)
 
-val reflections : t -> float array * float array
-(** The sorted mirrored-sample arrays [(left, right)] maintained by the
-    {!Reflection} policy; both empty under the other policies.  Shared
-    storage (do not mutate) — exposed so the batch evaluator can replay the
-    scalar reflection sums over the exact same arrays. *)
-
 val selectivity : t -> a:float -> b:float -> float
 (** [selectivity t ~a ~b] estimates the distribution selectivity of
     [Q(a,b)]; 0 when [a > b].  The result is clamped to [[0, 1]] (boundary

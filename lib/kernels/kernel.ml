@@ -24,10 +24,10 @@ let of_name s =
 
 let half_pi = Float.pi /. 2.0
 
-(* [eval] and [cdf] are forced inline: the batch evaluator calls them in
-   per-sample loops where a non-inlined call would box the float argument
-   and result on every sample (this toolchain has no flambda).  Inlined,
-   the whole computation stays in registers. *)
+(* [eval] and [cdf] are forced inline: called directly in a per-sample
+   loop, a non-inlined call would box the float argument and result on
+   every sample (this toolchain has no flambda).  Inlined, the whole
+   computation stays in registers. *)
 let[@inline always] eval k t =
   match k with
   | Epanechnikov -> if Float.abs t <= 1.0 then 0.75 *. (1.0 -. (t *. t)) else 0.0

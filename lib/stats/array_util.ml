@@ -38,41 +38,6 @@ let[@inline always] float_upper_bound (a : float array) x =
   done;
   !lo
 
-(* Branchless binary searches.  The loop body has no data-dependent branch:
-   each step halves the live window and advances the base with integer
-   arithmetic on the comparison result, so the only mispredictable control
-   flow is the (log n) loop exit.  Results are identical to the classic
-   searches above — the lower/upper bound of a sorted array is unique — and
-   the [@inline always] annotation lets callers keep the probe value in a
-   register (unboxed) across the call. *)
-
-let[@inline always] branchless_lower_bound_from (a : float array) ~pos ~len x =
-  let base = ref pos and n = ref len in
-  while !n > 1 do
-    let half = !n lsr 1 in
-    let mid = !base + half in
-    (* base += half iff a.(mid - 1) < x, i.e. the left half cannot hold the bound. *)
-    base := !base + (half * Bool.to_int (Array.unsafe_get a (mid - 1) < x));
-    n := !n - half
-  done;
-  if !n = 1 && Array.unsafe_get a !base < x then !base + 1 else !base
-
-let[@inline always] branchless_upper_bound_from (a : float array) ~pos ~len x =
-  let base = ref pos and n = ref len in
-  while !n > 1 do
-    let half = !n lsr 1 in
-    let mid = !base + half in
-    base := !base + (half * Bool.to_int (Array.unsafe_get a (mid - 1) <= x));
-    n := !n - half
-  done;
-  if !n = 1 && Array.unsafe_get a !base <= x then !base + 1 else !base
-
-let[@inline always] branchless_lower_bound (a : float array) x =
-  branchless_lower_bound_from a ~pos:0 ~len:(Array.length a) x
-
-let[@inline always] branchless_upper_bound (a : float array) x =
-  branchless_upper_bound_from a ~pos:0 ~len:(Array.length a) x
-
 let int_lower_bound (a : int array) x =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do

@@ -26,28 +26,6 @@ val float_lower_bound : float array -> float -> int
 val float_upper_bound : float array -> float -> int
 (** {!upper_bound} specialized to floats. *)
 
-val branchless_lower_bound : float array -> float -> int
-(** Same result as {!float_lower_bound} (the bound index of a sorted array
-    is unique), computed with a branch-free loop body: each step halves the
-    live window and advances the base by integer arithmetic on the
-    comparison, so the branch predictor only sees the [log n] loop exit.
-    Used by the batch estimate kernels, where the probe values are
-    data-dependent and classic binary search mispredicts half its
-    comparisons. *)
-
-val branchless_upper_bound : float array -> float -> int
-(** Branch-free {!float_upper_bound}; see {!branchless_lower_bound}. *)
-
-val branchless_lower_bound_from : float array -> pos:int -> len:int -> float -> int
-(** {!branchless_lower_bound} restricted to the slice [\[pos, pos + len)]
-    of a sorted array; returns an {e absolute} index in [\[pos, pos + len]].
-    The batch evaluator uses this to search one component histogram inside
-    a concatenated structure-of-arrays layout without slicing. *)
-
-val branchless_upper_bound_from : float array -> pos:int -> len:int -> float -> int
-(** Slice variant of {!branchless_upper_bound}; see
-    {!branchless_lower_bound_from}. *)
-
 val int_lower_bound : int array -> int -> int
 (** {!lower_bound} specialized to ints. *)
 

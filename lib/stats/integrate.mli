@@ -27,15 +27,6 @@ val gauss_legendre_10 : (float -> float) -> a:float -> b:float -> float
     boundary strips, whose integrands are smooth rationals).
     @raise Invalid_argument if the bounds are not finite. *)
 
-val gl10_nodes : float array
-(** The five positive Gauss-Legendre nodes of the 10-point rule (symmetric
-    halves); shared storage, do not mutate.  Exposed so the batch estimate
-    path can replay {!gauss_legendre_10} with an inlined integrand and stay
-    bit-identical with the scalar quadrature. *)
-
-val gl10_weights : float array
-(** Weights matching {!gl10_nodes}; shared storage, do not mutate. *)
-
 val integrate_grid : float array -> float array -> float
 (** [integrate_grid xs ys] trapezoid rule over tabulated points; [xs] must be
     strictly increasing and of the same length as [ys].

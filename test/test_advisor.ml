@@ -170,8 +170,8 @@ let small_suite =
 
 let run_sweep ~jobs =
   let sample = E.sample_of sweep_dataset ~seed:7L ~n:500 in
-  Sw.run ~jobs ~specs:small_suite ~targets:[ 0.01; 0.1 ] ~count:30 sweep_dataset
-    ~seed:9L ~sample
+  Sw.run ~jobs ~specs:small_suite ~targets:[ 0.01; 0.1 ] ~count:30 ~cells:256
+    sweep_dataset ~seed:9L ~sample
 
 let test_sweep_mres_bit_identical_across_jobs () =
   let s1 = run_sweep ~jobs:1 and s4 = run_sweep ~jobs:4 in
@@ -185,6 +185,53 @@ let test_sweep_mres_bit_identical_across_jobs () =
            (Int64.bits_of_float a.Sw.m_summary.Workload.Metrics.mre)
            (Int64.bits_of_float b.Sw.m_summary.Workload.Metrics.mre)))
     s1.Sw.s_cells s4.Sw.s_cells
+
+(* The sweep scores the summary the catalog serves: each cell's MRE equals
+   the MRE of a [Catalog.Service.range_summary] built from the same spec,
+   sample and cell count, answering the same queries.  Sampling reduced to
+   64 cells is EWH(64), so the raw estimator scores differently — checked
+   too, so the equality cannot hold by accident. *)
+let test_sweep_scores_served_summary () =
+  let sample = E.sample_of sweep_dataset ~seed:7L ~n:500 in
+  let cells = 64 and spec = "sampling" in
+  let specs = List.filter (fun (name, _) -> name = spec) Sw.default_suite in
+  let s =
+    Sw.run ~specs ~targets:[ 0.01; 0.1 ] ~count:30 ~cells sweep_dataset ~seed:9L ~sample
+  in
+  Alcotest.(check int) "records its cell count" cells s.Sw.s_stored_cells;
+  let domain = E.domain_of sweep_dataset in
+  let summary =
+    match Catalog.Service.range_summary ~cells ~spec ~domain sample with
+    | Ok (Selest.Stored.Range t) -> t
+    | Ok _ -> Alcotest.fail "range_summary returned another kind"
+    | Error e -> Alcotest.fail e
+  in
+  let raw = Selest.Estimator.build Selest.Estimator.Sampling ~domain sample in
+  let n = float_of_int (Ds.size sweep_dataset) in
+  let mre_of sel (wl : W.t) =
+    let pairs =
+      Array.map
+        (fun (q : Workload.Query.t) ->
+          let a = q.Workload.Query.lo and b = q.Workload.Query.hi in
+          (float_of_int (Ds.exact_count sweep_dataset ~lo:a ~hi:b), n *. sel ~a ~b))
+        wl.W.queries
+    in
+    (Workload.Metrics.summarize pairs).Workload.Metrics.mre
+  in
+  Alcotest.(check int) "one measurement per workload cell"
+    (List.length s.Sw.s_workloads) (List.length s.Sw.s_cells);
+  let raw_differs =
+    List.map2
+      (fun (m : Sw.measurement) (_, _, wl) ->
+        let swept = m.Sw.m_summary.Workload.Metrics.mre in
+        let served = mre_of (Selest.Stored.selectivity summary) wl in
+        if not (Float.equal swept served) then
+          Alcotest.failf "cell %g: sweep mre %.17g <> served mre %.17g" m.Sw.m_target swept
+            served;
+        not (Float.equal swept (mre_of (Selest.Estimator.selectivity raw) wl)))
+      s.Sw.s_cells s.Sw.s_workloads
+  in
+  Alcotest.(check bool) "raw estimator scores differently" true (List.mem true raw_differs)
 
 let test_recommendation_deterministic_across_jobs () =
   let r1 = Result.get_ok (R.recommend (run_sweep ~jobs:1)) in
@@ -455,6 +502,8 @@ let () =
             test_sweep_mres_bit_identical_across_jobs;
           Alcotest.test_case "recommendation deterministic across jobs" `Quick
             test_recommendation_deterministic_across_jobs;
+          Alcotest.test_case "scores the served summary" `Quick
+            test_sweep_scores_served_summary;
           Alcotest.test_case "VC bound shrinks with sample size" `Quick
             test_vc_epsilon_decreases_with_n;
         ] );

@@ -425,6 +425,124 @@ let prop_eval_batch_slices =
       done;
       !ok)
 
+(* The serving engine and the advisor's sweep both evaluate through
+   selectivity_into, so it must stay off the minor heap: a single box per
+   query would show up as thousands of words. *)
+let test_eval_batch_allocation () =
+  let weights = List.init 256 (fun i -> float_of_int (i mod 7)) in
+  let t = stored_of_weights ~lo:0.0 ~hi:1000.0 weights in
+  let n = 128 in
+  let a = Array.init n (fun i -> float_of_int (i * 7) -. 20.0) in
+  let b = Array.init n (fun i -> a.(i) +. float_of_int (i * 3)) in
+  let out = Array.make n 0.0 in
+  Stored.selectivity_into t ~pos:0 ~len:n ~a ~b ~out;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Stored.selectivity_into t ~pos:0 ~len:n ~a ~b ~out
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  if dw > 0.0 then Alcotest.failf "%d batched queries allocated %.0f minor words" (100 * n) dw
+
+(* --- served summaries of every estimator spec --- *)
+
+module Est = Selest.Estimator
+module Xo = Prng.Xoshiro256pp
+
+let spec_domain = (0.0, 1000.0)
+
+(* Step-density mixture: dense [0,300], sparse (300,600], medium
+   (600,1000], so the hybrid estimator finds change points and the
+   boundary policies have non-trivial strips. *)
+let spec_sample seed n =
+  let rng = Xo.create seed in
+  Array.init n (fun _ ->
+      let u = Xo.float_range rng 0.0 1.0 in
+      if u < 0.6 then Xo.float_range rng 0.0 300.0
+      else if u < 0.7 then Xo.float_range rng 300.0 600.0
+      else Xo.float_range rng 600.0 1000.0)
+
+let served_specs =
+  Est.
+    [
+      Sampling;
+      Uniform_assumption;
+      Equi_width (Fixed_bins 25);
+      Equi_width Normal_scale_bins;
+      Equi_depth { bins = 25 };
+      Max_diff { bins = 25 };
+      Ash { bins = Fixed_bins 25; shifts = 10 };
+      Ash { bins = Normal_scale_bins; shifts = 10 };
+      Kernel
+        {
+          kernel = Kernels.Kernel.Epanechnikov;
+          boundary = Kde.Estimator.Reflection;
+          bandwidth = Fixed_bandwidth 20.0;
+        };
+      Kernel
+        {
+          kernel = Kernels.Kernel.Biweight;
+          boundary = Kde.Estimator.Boundary_kernels;
+          bandwidth = Fixed_bandwidth 15.0;
+        };
+      kernel_defaults;
+      hybrid_defaults;
+      Hybrid_spec { bandwidth = Normal_scale_bandwidth; min_bin_count = 50; max_change_points = 8 };
+      Frequency_polygon (Fixed_bins 25);
+      V_optimal { bins = 25 };
+      Wavelet_spec { coefficients = 25 };
+    ]
+
+(* What the catalog serves and the advisor scores for a spec: the fitted
+   estimator reduced by of_estimator.  Every spec must reduce to finite
+   cells, and the reduced summary must answer a batch (ranges inside,
+   straddling and outside the domain, inverted ones included) exactly
+   as it answers one query at a time. *)
+let prop_spec_batch_identity spec =
+  let est = Est.build spec ~domain:spec_domain (spec_sample 7L 800) in
+  let t = Stored.of_estimator ~domain:spec_domain est in
+  let bound = QCheck.float_range (-100.0) 1100.0 in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "batch bit-identical: %s" (Est.spec_name spec))
+    ~count:50
+    QCheck.(list_of_size Gen.(1 -- 64) (pair bound bound))
+    (fun qs ->
+      let a = Array.of_list (List.map fst qs) and b = Array.of_list (List.map snd qs) in
+      let n = Array.length a in
+      let out = Array.make n nan in
+      Stored.selectivity_into t ~pos:0 ~len:n ~a ~b ~out;
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        let s = Stored.selectivity t ~a:a.(i) ~b:b.(i) in
+        if not (Float.equal out.(i) s && s >= 0.0 && s <= 1.0) then ok := false
+      done;
+      !ok)
+
+let test_empty_and_short_batches () =
+  let t = Stored.of_sample ~domain:spec_domain (spec_sample 13L 300) in
+  let out = [| 42.0 |] in
+  Stored.selectivity_into t ~pos:0 ~len:0 ~a:[||] ~b:[||] ~out;
+  checkf "empty batch leaves out untouched" 42.0 out.(0);
+  Stored.selectivity_into t ~pos:0 ~len:1 ~a:[| 100.0 |] ~b:[| 400.0 |] ~out;
+  checkf "single-query batch" (Stored.selectivity t ~a:100.0 ~b:400.0) out.(0)
+
+let test_selectivity_into_validation () =
+  let t = Stored.of_sample ~domain:spec_domain (spec_sample 17L 100) in
+  let check_invalid name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  check_invalid "negative len" (fun () ->
+      Stored.selectivity_into t ~pos:0 ~len:(-1) ~a:[||] ~b:[||] ~out:[||]);
+  check_invalid "negative pos" (fun () ->
+      Stored.selectivity_into t ~pos:(-1) ~len:1 ~a:[| 0.0 |] ~b:[| 1.0 |] ~out:[| 0.0 |]);
+  check_invalid "short a" (fun () ->
+      Stored.selectivity_into t ~pos:0 ~len:2 ~a:[| 0.0 |] ~b:[| 0.0; 1.0 |] ~out:[| 0.0; 0.0 |]);
+  check_invalid "short b" (fun () ->
+      Stored.selectivity_into t ~pos:1 ~len:1 ~a:[| 0.0; 1.0 |] ~b:[| 0.0 |] ~out:[| 0.0; 0.0 |]);
+  check_invalid "short out" (fun () ->
+      Stored.selectivity_into t ~pos:0 ~len:2 ~a:[| 0.0; 1.0 |] ~b:[| 0.0; 1.0 |] ~out:[| 0.0 |])
+
 (* Cell probes that are NaN or infinite are refused at build time, with
    the cell named, instead of producing a summary whose own snapshot
    would not load. *)
@@ -578,7 +696,20 @@ let () =
             prop_eval_nan_inverted_zero;
             prop_eval_monotone;
             prop_eval_batch_slices;
+          ]
+        @ [
+            Alcotest.test_case "selectivity_into allocates no minor words" `Quick
+              test_eval_batch_allocation;
           ] );
+      ( "identity",
+        List.map
+          (fun spec -> QCheck_alcotest.to_alcotest (prop_spec_batch_identity spec))
+          served_specs );
+      ( "edges",
+        [
+          Alcotest.test_case "empty and short batches" `Quick test_empty_and_short_batches;
+          Alcotest.test_case "argument validation" `Quick test_selectivity_into_validation;
+        ] );
       ( "build",
         Alcotest.test_case "non-finite cells refused" `Quick test_nonfinite_cells
         :: List.map QCheck_alcotest.to_alcotest [ prop_join_answers_stored ] );
